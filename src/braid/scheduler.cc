@@ -94,7 +94,7 @@ class Simulator
           graph(prep.graph), arch(prep.arch), mesh(arch.makeMesh()),
           claim_opts(makeClaimOptions(opts)),
           claimer(mesh, claim_opts), crit(prep.crit),
-          trace(opts.trace)
+          memos(circ.size(), opts.fast_forward), trace(opts.trace)
     {
         if (trace) {
             trace->meshDims(mesh.width(), mesh.height());
@@ -224,6 +224,8 @@ class Simulator
     {
         ops[static_cast<size_t>(i)].stage = stage;
         ops[static_cast<size_t>(i)].wait = 0;
+        // The closing segment routes YX-first: a new geometry.
+        memos.forget(i);
         ready.insert(makeEntry(i));
         if (trace)
             trace->record({cycle, obs::EventKind::OpReady, i,
@@ -280,6 +282,14 @@ class Simulator
             return true;
         }
 
+        uint64_t stock =
+            op.cls == OpClass::TGate ? factories.version() : 0;
+        if (auto repeat = memos.replay(
+                i, mesh, stock,
+                engine::escalationStage(op.wait, claim_opts)))
+            return stalled(i, *repeat);
+        network::Blockers *blockers = memos.blockers();
+
         Coord src = arch.terminal(op.qa);
         // Candidate destinations: (router, factory index or -1).
         std::vector<std::pair<Coord, int>> &dsts = dsts_scratch;
@@ -293,14 +303,8 @@ class Simulator
                        [this](int f) {
                            return arch.factoryTerminal(f);
                        })) {
-            ++magic_starvations;
-            ++pass_starved;
-            if (trace
-                && obs::stallEventGate(op.wait, opts.adapt_timeout,
-                                       opts.bfs_timeout))
-                trace->record(
-                    {cycle, obs::EventKind::FactoryStarve, i});
-            return false;
+            return stalled(
+                i, memos.fail(i, mesh, engine::FailKind::Starved));
         }
 
         // Figure 5: the two segments take different geometries; we
@@ -313,8 +317,8 @@ class Simulator
             bfs_before = claimer.bfsDetours();
         }
         for (const auto &[dst, factory] : dsts) {
-            auto path =
-                claimer.tryClaim(src, dst, i, op.wait, closing);
+            auto path = claimer.tryClaim(src, dst, i, op.wait,
+                                         closing, blockers);
             if (path) {
                 factories.consume(factory);
                 if (trace) {
@@ -344,11 +348,24 @@ class Simulator
                 return true;
             }
         }
-        if (trace
-            && obs::stallEventGate(op.wait, opts.adapt_timeout,
-                                   opts.bfs_timeout))
-            trace->record({cycle, obs::EventKind::RouteDeny, i,
-                           op.wait});
+        return stalled(i, memos.fail(i, mesh, engine::FailKind::Denied));
+    }
+
+    /**
+     * Account a failed attempt of op @p i, real or replayed from its
+     * memo — one path, so the two cannot drift apart.
+     * @return false, for tryPlace() to return.
+     */
+    bool
+    stalled(int i, engine::FailKind kind)
+    {
+        if (kind == engine::FailKind::Starved) {
+            ++magic_starvations;
+            ++pass_starved;
+        }
+        engine::traceStall(trace, cycle, i,
+                           ops[static_cast<size_t>(i)].wait, kind,
+                           claim_opts);
         return false;
     }
 
@@ -366,6 +383,7 @@ class Simulator
     void
     activate(int i, int duration)
     {
+        memos.forget(i);
         OpRec &op = ops[static_cast<size_t>(i)];
         op.stage = op.stage == Stage::Seg2Ready ? Stage::Seg2Active
                                                 : Stage::Seg1Active;
@@ -407,6 +425,7 @@ class Simulator
                 ++drops;
                 ++pass_dropped;
                 op.wait = 0;
+                memos.forget(i);
                 it = ready.erase(it);
                 dropped_scratch.push_back(i);
                 if (trace)
@@ -451,6 +470,7 @@ class Simulator
             ++drops;
             ++pass_dropped;
             op.wait = opts.bfs_timeout;
+            memos.forget(i);
             if (trace)
                 trace->record({cycle, obs::EventKind::RouteDrop, i});
         }
@@ -543,6 +563,7 @@ class Simulator
     std::vector<std::pair<Coord, int>> dsts_scratch;
 
     engine::MagicFactoryPool factories;
+    engine::FailMemos memos;
     obs::TraceRecorder *trace;
 
     uint64_t braids_placed = 0;

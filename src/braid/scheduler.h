@@ -88,8 +88,10 @@ struct BraidOptions
      * Event-driven time skipping: when a placement pass claims
      * nothing, jump straight to the next retirement / escalation
      * threshold / factory replenishment instead of ticking one cycle
-     * at a time.  Results are bit-identical either way; disabling
-     * reproduces the original loop for A/B perf measurement.
+     * at a time, and replay provably repeated failed attempts from
+     * their memos (engine::FailMemos).  Results are bit-identical
+     * either way; disabling reproduces the original loop for A/B
+     * perf measurement.
      */
     bool fast_forward = true;
 

@@ -130,11 +130,14 @@ struct RunConfig
     double kq = 0;
 
     /**
-     * Event-driven fast-forward in the simulated backends: jump
-     * over do-nothing cycles instead of ticking them one at a time.
-     * Results are bit-identical either way; disable to reproduce
-     * the cycle-stepped loop for A/B perf measurement
-     * (bench/perf_engine does exactly that).
+     * Event-driven mode of the simulated backends: jump over
+     * do-nothing cycles instead of ticking them one at a time, and
+     * skip placement attempts that provably fail again — nothing
+     * that stopped the op's last attempt has been released since
+     * (engine::FailMemos).  Results are bit-identical either way;
+     * disable to run the cycle-stepped loop that walks every
+     * attempt, the oracle for A/B perf measurement
+     * (bench/perf_engine) and the ff == stepped tests.
      */
     bool fast_forward = true;
 

@@ -1,6 +1,7 @@
 #include "engine/sim.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/logging.h"
 #include "network/route.h"
@@ -9,43 +10,63 @@ namespace qsurf::engine {
 
 namespace {
 
-/** The single-walk claim, or the pre-change double walk when
- *  @p legacy (for honest A/B baselines). */
+/**
+ * The single-walk claim, or the pre-change double walk when
+ * @p legacy (for honest A/B baselines).  A failure appends the
+ * first busy resource to @p blockers when non-null.
+ */
 bool
 claimRoute(network::Mesh &mesh, const network::Path &path, int owner,
-           bool legacy)
+           bool legacy, network::Blockers *blockers)
 {
-    if (!legacy)
-        return mesh.tryClaim(path, owner);
-    if (!mesh.routeFree(path, owner))
+    network::ResourceId busy = network::Mesh::no_resource;
+    bool free = legacy ? mesh.routeFree(path, owner, &busy)
+                       : mesh.tryClaim(path, owner, &busy);
+    if (!free) {
+        if (blockers)
+            blockers->push_back(busy);
         return false;
-    mesh.claim(path, owner);
+    }
+    if (legacy)
+        mesh.claim(path, owner);
     return true;
+}
+
+/** The BFS detour, on a fresh working set when @p legacy. */
+std::optional<network::Path>
+detourRoute(const network::Mesh &mesh, const Coord &src,
+            const Coord &dst, int owner, network::BfsScratch &scratch,
+            bool legacy, network::Blockers *blockers)
+{
+    if (legacy)
+        return network::adaptiveRoute(mesh, src, dst, owner, blockers);
+    return network::adaptiveRoute(mesh, src, dst, owner, scratch,
+                                  blockers);
 }
 
 } // namespace
 
 std::optional<network::Path>
 RouteClaimer::tryClaim(const Coord &src, const Coord &dst, int owner,
-                       int wait, bool yx_first)
+                       int wait, bool yx_first,
+                       network::Blockers *blockers)
 {
     network::Path first = yx_first ? network::yxRoute(src, dst)
                                    : network::xyRoute(src, dst);
-    if (claimRoute(mesh_, first, owner, opts_.legacy_paths))
+    if (claimRoute(mesh_, first, owner, opts_.legacy_paths, blockers))
         return first;
     if (wait >= opts_.adapt_timeout) {
         network::Path second = yx_first ? network::xyRoute(src, dst)
                                         : network::yxRoute(src, dst);
-        if (claimRoute(mesh_, second, owner, opts_.legacy_paths)) {
+        if (claimRoute(mesh_, second, owner, opts_.legacy_paths,
+                       blockers)) {
             ++transpose_fallbacks_;
             return second;
         }
     }
     if (wait >= opts_.bfs_timeout) {
-        auto detour = opts_.legacy_paths
-            ? network::adaptiveRoute(mesh_, src, dst, owner)
-            : network::adaptiveRoute(mesh_, src, dst, owner,
-                                     scratch_);
+        auto detour = detourRoute(mesh_, src, dst, owner, scratch_,
+                                  opts_.legacy_paths, blockers);
         if (detour) {
             ++bfs_detours_;
             mesh_.claim(*detour, owner);
@@ -94,14 +115,16 @@ ChainClaimer::setEndpointReserved(const Coord &c, bool reserved)
         if (mesh_.nodeOwner(c) == network::Mesh::no_owner)
             mesh_.claim(node, sentinel);
     } else if (mesh_.nodeOwner(c) == sentinel) {
-        mesh_.release(node, sentinel);
+        // Lent to this one claim, not released: every other chain
+        // still finds the terminal held.
+        mesh_.suspend(node, sentinel);
     }
 }
 
 std::optional<network::Path>
 ChainClaimer::tryClaim(const network::Path &primary,
                        const network::Path &fallback, int owner,
-                       int wait)
+                       int wait, network::Blockers *blockers)
 {
     const Coord &src = primary.source();
     const Coord &dst = primary.dest();
@@ -111,18 +134,18 @@ ChainClaimer::tryClaim(const network::Path &primary,
     setEndpointReserved(src, false);
     setEndpointReserved(dst, false);
 
-    if (claimRoute(mesh_, primary, owner, opts_.legacy_paths))
+    if (claimRoute(mesh_, primary, owner, opts_.legacy_paths,
+                   blockers))
         return primary;
     if (wait >= opts_.adapt_timeout
-        && claimRoute(mesh_, fallback, owner, opts_.legacy_paths)) {
+        && claimRoute(mesh_, fallback, owner, opts_.legacy_paths,
+                      blockers)) {
         ++transpose_fallbacks_;
         return fallback;
     }
     if (wait >= opts_.bfs_timeout) {
-        auto detour = opts_.legacy_paths
-            ? network::adaptiveRoute(mesh_, src, dst, owner)
-            : network::adaptiveRoute(mesh_, src, dst, owner,
-                                     scratch_);
+        auto detour = detourRoute(mesh_, src, dst, owner, scratch_,
+                                  opts_.legacy_paths, blockers);
         if (detour) {
             ++bfs_detours_;
             mesh_.claim(*detour, owner);
@@ -151,6 +174,87 @@ MagicFactoryPool::consume(int f)
     auto &stock = stock_[static_cast<size_t>(f)];
     panicIf(stock <= 0, "consumed magic state from empty factory");
     --stock;
+    ++version_;
+}
+
+FailMemos::FailMemos(int num_ops, bool enabled) : enabled_(enabled)
+{
+    if (enabled_)
+        slot_.assign(static_cast<size_t>(num_ops), -1);
+}
+
+bool
+FailMemos::stillBlocked(Memo &m, const network::Mesh &mesh)
+{
+    uint64_t now = mesh.releaseCount();
+    if (now == m.epoch)
+        return true;
+    for (network::ResourceId r : m.blockers)
+        if (mesh.releaseStamp(r) > m.epoch)
+            return false;
+    // Every blocker is still held, so they stop the attempt as of
+    // now: later checks need only look at releases after this one.
+    m.epoch = now;
+    return true;
+}
+
+std::optional<FailKind>
+FailMemos::replay(int id, const network::Mesh &mesh, uint64_t stock,
+                  int stage)
+{
+    if (!enabled_)
+        return std::nullopt;
+    int32_t slot = slot_[static_cast<size_t>(id)];
+    if (slot >= 0) {
+        Memo &m = memos_[static_cast<size_t>(slot)];
+        if (m.stage == stage && m.stock == stock && stillBlocked(m, mesh))
+            return m.kind;
+    }
+    pending_stock_ = stock;
+    pending_stage_ = stage;
+    pending_.clear();
+    return std::nullopt;
+}
+
+FailKind
+FailMemos::fail(int id, const network::Mesh &mesh, FailKind kind)
+{
+    if (!enabled_)
+        return kind;
+    // Slots are taken on failure only, so a first attempt that
+    // succeeds never touches one.
+    int32_t &slot = slot_[static_cast<size_t>(id)];
+    if (slot < 0) {
+        if (free_.empty()) {
+            slot = static_cast<int32_t>(memos_.size());
+            memos_.emplace_back();
+        } else {
+            slot = free_.back();
+            free_.pop_back();
+        }
+    }
+    Memo &m = memos_[static_cast<size_t>(slot)];
+    m.epoch = mesh.releaseCount();
+    m.stock = pending_stock_;
+    m.stage = pending_stage_;
+    m.kind = kind;
+    // The old list's storage becomes the next attempt's sink.  Both
+    // lists took the scratch arena bound during this run.
+    assert(m.blockers.get_allocator() == pending_.get_allocator());
+    m.blockers.swap(pending_);
+    return kind;
+}
+
+void
+FailMemos::forget(int id)
+{
+    if (!enabled_)
+        return;
+    int32_t &slot = slot_[static_cast<size_t>(id)];
+    if (slot < 0)
+        return;
+    free_.push_back(slot);
+    slot = -1;
 }
 
 LiveIntervalProfile::Summary

@@ -5,7 +5,8 @@
  * Both run-to-completion backends are discrete simulators built from
  * the same small set of mechanisms: a deterministic keyed ready
  * queue, an expiry queue retiring in-flight work, the route-claim
- * escalation of Section 6.1 on the circuit-switched mesh, a pool of
+ * escalation of Section 6.1 on the circuit-switched mesh (with
+ * memos of the attempts that provably fail again), a pool of
  * identical transport channels, and sweep-line accounting of live
  * resources.  Hoisting them here keeps the braid and planar
  * schedulers to their policy decisions and guarantees every backend
@@ -160,6 +161,45 @@ struct RouteClaimOptions
      */
     bool legacy_paths = false;
 };
+
+/**
+ * @return the escalation stage of a requester that has failed to
+ * place for @p wait cycles: bit 0 once it also tries the transposed
+ * route (and a T gate widens to three candidate factories), bit 1
+ * once it also tries the BFS detour.  Two attempts at one stage try
+ * the same routes.
+ */
+inline int
+escalationStage(int wait, const RouteClaimOptions &route)
+{
+    return (wait >= route.adapt_timeout ? 1 : 0)
+        | (wait >= route.bfs_timeout ? 2 : 0);
+}
+
+/** Why a placement attempt failed. */
+enum class FailKind : uint8_t
+{
+    Denied,  ///< Every candidate route was busy.
+    Starved, ///< No candidate factory had a distilled state.
+};
+
+/**
+ * Record the stall event of op @p op's failed attempt at @p cycle,
+ * routed with @p wait — on the passes obs::stallEventGate() admits.
+ */
+inline void
+traceStall(obs::TraceRecorder *trace, uint64_t cycle, int op, int wait,
+           FailKind kind, const RouteClaimOptions &route)
+{
+    if (!trace
+        || !obs::stallEventGate(wait, route.adapt_timeout,
+                                route.bfs_timeout))
+        return;
+    if (kind == FailKind::Starved)
+        trace->record({cycle, obs::EventKind::FactoryStarve, op});
+    else
+        trace->record({cycle, obs::EventKind::RouteDeny, op, wait});
+}
 
 /**
  * The time-skipping core of the event-driven schedulers.
@@ -344,11 +384,14 @@ class RouteClaimer
      * @param yx_first prefer the Y-then-X geometry (Figure 5's
      *                 closing segment); the transposed fallback is
      *                 then X-then-Y.
+     * @param blockers when non-null, receives what stopped each
+     *                 failed stage: the first busy resource of each
+     *                 route tried, and the BFS detour's boundary.
      * @return the claimed path, or nullopt when every stage failed.
      */
-    std::optional<network::Path> tryClaim(const Coord &src,
-                                          const Coord &dst, int owner,
-                                          int wait, bool yx_first);
+    std::optional<network::Path>
+    tryClaim(const Coord &src, const Coord &dst, int owner, int wait,
+             bool yx_first, network::Blockers *blockers = nullptr);
 
     /** Successful placements that needed the transposed route. */
     uint64_t transposeFallbacks() const { return transpose_fallbacks_; }
@@ -406,12 +449,15 @@ class ChainClaimer
      * @param fallback alternate geometry, tried once the owner has
      *                 waited adapt_timeout cycles.
      * @param wait     cycles the owner has already failed to place.
+     * @param blockers when non-null, receives what stopped each
+     *                 failed stage (see RouteClaimer::tryClaim).
      * @return the claimed corridor, or nullopt when every stage
      *         failed (endpoint reservations are then restored).
      */
     std::optional<network::Path>
     tryClaim(const network::Path &primary,
-             const network::Path &fallback, int owner, int wait);
+             const network::Path &fallback, int owner, int wait,
+             network::Blockers *blockers = nullptr);
 
     /** Release @p chain and restore its endpoint reservations. */
     void release(const network::Path &chain, int owner);
@@ -501,6 +547,13 @@ class MagicFactoryPool
     /** Take one state from factory @p f (no-op when unlimited). */
     void consume(int f);
 
+    /**
+     * @return a counter bumped by every consume() and every refill
+     * that raises a stock: equal versions mean every hasState()
+     * answer is unchanged.
+     */
+    uint64_t version() const { return version_; }
+
     /** Advance every distillation pipeline to @p now. */
     void
     replenish(uint64_t now)
@@ -511,6 +564,7 @@ class MagicFactoryPool
             while (next_ready_[f] <= now) {
                 if (stock_[f] < capacity_) {
                     ++stock_[f];
+                    ++version_;
                     if (trace_)
                         trace_->record(
                             {next_ready_[f],
@@ -543,6 +597,7 @@ class MagicFactoryPool
     int capacity_ = 0;
     std::vector<int> stock_;
     std::vector<uint64_t> next_ready_;
+    uint64_t version_ = 0;
     obs::TraceRecorder *trace_ = nullptr;
 };
 
@@ -576,6 +631,88 @@ appendStockedFactories(const MagicFactoryPool &pool,
     }
     return any_stock;
 }
+
+/**
+ * Failure memos: skip the placement attempts that provably fail
+ * again.
+ *
+ * Claims only take mesh resources, and only Mesh::release() gives
+ * them back.  So once an op's attempt has failed, the same attempt
+ * fails again, the same way, for as long as
+ *
+ *  - none of its blockers — the busy resources that stopped it — has
+ *    been released since (Mesh::releaseStamp),
+ *  - the magic-state stocks are unchanged (MagicFactoryPool::version;
+ *    schedulers key T gates on it), and
+ *  - the op routes at the same escalationStage().
+ *
+ * Such a repeat may be counted as that failure without walking any
+ * route.  An attempt's blockers are the first busy resource of every
+ * route it tried and, for a BFS detour, the busy resources bounding
+ * the region the search explored: any free path would have to cross
+ * one of them.  A starvation has none; only the stocks decide it.
+ *
+ * The memo is on exactly when fast-forward is, so the cycle-stepped
+ * loop, which walks every attempt, stays the oracle it is tested
+ * against.  Memos live in slots taken on a failure and recycled by
+ * forget(), so their blocker lists follow the number of stalled ops,
+ * not the program size.  Storage comes from the scratch arena bound
+ * at construction, if any.
+ */
+class FailMemos
+{
+  public:
+    /** Memos for op ids [0, @p num_ops); when not @p enabled, every
+     *  lookup misses and nothing is recorded. */
+    FailMemos(int num_ops, bool enabled);
+
+    /**
+     * Look up op @p id's last failure for a new attempt at @p stage,
+     * keyed on stock version @p stock.
+     *
+     * @return the memoised failure when the attempt provably repeats
+     * it; otherwise nullopt, and the attempt begins: blockers()
+     * collects what stops it, for fail() to memoise.
+     */
+    std::optional<FailKind> replay(int id, const network::Mesh &mesh,
+                                   uint64_t stock, int stage);
+
+    /** @return the blocker sink of the attempt replay() began; null
+     *  when disabled. */
+    network::Blockers *blockers() { return enabled_ ? &pending_ : nullptr; }
+
+    /** Memoise the attempt replay() began for op @p id as a @p kind
+     *  failure; @return @p kind. */
+    FailKind fail(int id, const network::Mesh &mesh, FailKind kind);
+
+    /** Drop op @p id's memo: it was placed, re-queued or changes
+     *  geometry. */
+    void forget(int id);
+
+  private:
+    struct Memo
+    {
+        uint64_t epoch = 0; ///< releaseCount() when last confirmed.
+        uint64_t stock = 0;
+        int stage = 0;
+        FailKind kind = FailKind::Denied;
+        network::Blockers blockers;
+    };
+
+    /** @return true when none of @p m's blockers was released since
+     *  @p m was last confirmed (and confirm it as of now). */
+    static bool stillBlocked(Memo &m, const network::Mesh &mesh);
+
+    bool enabled_;
+    std::vector<int32_t, ArenaAllocator<int32_t>> slot_; ///< Per op.
+    std::vector<Memo, ArenaAllocator<Memo>> memos_;
+    std::vector<int32_t, ArenaAllocator<int32_t>> free_;
+
+    /** The attempt in progress: its key and blockers. */
+    uint64_t pending_stock_ = 0;
+    int pending_stage_ = 0;
+    network::Blockers pending_;
+};
 
 /**
  * A pool of identical transport channels.  acquire() reserves the

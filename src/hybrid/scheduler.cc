@@ -214,7 +214,7 @@ class Simulator
           claimer(mesh, claim_opts), corridors(arch),
           arbiter(makeArbiter(opts.arbiter, makeCosts(opts))),
           channels(channelSlots(opts, arch)), crit(prep.crit),
-          trace(opts.trace)
+          memos(circ.size(), opts.fast_forward), trace(opts.trace)
     {
         if (trace) {
             trace->meshDims(mesh.width(), mesh.height());
@@ -355,6 +355,7 @@ class Simulator
     makeReady(int i)
     {
         ops[static_cast<size_t>(i)].wait = 0;
+        memos.forget(i);
         ready.insert(makeEntry(i));
         if (trace)
             trace->record({cycle, obs::EventKind::OpReady, i});
@@ -426,8 +427,32 @@ class Simulator
                                static_cast<int64_t>(op.scheme),
                                ctx.tiles});
         }
+        uint64_t stock =
+            op.cls == OpClass::TGate ? factories.version() : 0;
+        if (auto repeat = memos.replay(
+                i, mesh, stock,
+                engine::escalationStage(op.wait, claim_opts)))
+            return stalled(i, *repeat);
         return op.scheme == Scheme::Teleport ? placeTeleport(i)
                                              : placeCorridor(i);
+    }
+
+    /**
+     * Account a failed attempt of op @p i, real or replayed from its
+     * memo — one path, so the two cannot drift apart.
+     * @return false, for tryPlace() to return.
+     */
+    bool
+    stalled(int i, engine::FailKind kind)
+    {
+        if (kind == engine::FailKind::Starved) {
+            ++magic_starvations;
+            ++pass_starved;
+        }
+        engine::traceStall(trace, cycle, i,
+                           ops[static_cast<size_t>(i)].wait, kind,
+                           claim_opts);
+        return false;
     }
 
     /**
@@ -443,17 +468,9 @@ class Simulator
         int tiles = op.est_tiles;
         if (op.cls == OpClass::TGate) {
             int fac = firstStockedFactory(op.qa);
-            if (fac < 0) {
-                ++magic_starvations;
-                ++pass_starved;
-                if (trace
-                    && obs::stallEventGate(op.wait,
-                                           opts.adapt_timeout,
-                                           opts.bfs_timeout))
-                    trace->record(
-                        {cycle, obs::EventKind::FactoryStarve, i});
-                return false;
-            }
+            if (fac < 0)
+                return stalled(i, memos.fail(i, mesh,
+                                             engine::FailKind::Starved));
             factories.consume(fac);
             tiles = manhattan(arch.patchOf(op.qa),
                               arch.factoryPatch(fac));
@@ -511,14 +528,8 @@ class Simulator
                        [this](int f) {
                            return arch.factoryTerminal(f);
                        })) {
-            ++magic_starvations;
-            ++pass_starved;
-            if (trace
-                && obs::stallEventGate(op.wait, opts.adapt_timeout,
-                                       opts.bfs_timeout))
-                trace->record(
-                    {cycle, obs::EventKind::FactoryStarve, i});
-            return false;
+            return stalled(
+                i, memos.fail(i, mesh, engine::FailKind::Starved));
         }
 
         uint64_t transpose_before = 0;
@@ -527,12 +538,13 @@ class Simulator
             transpose_before = claimer.transposeFallbacks();
             bfs_before = claimer.bfsDetours();
         }
+        network::Blockers *blockers = memos.blockers();
         for (const auto &[dst, factory] : dsts) {
             const surgery::CorridorRouter::Routes &routes =
                 corridors.routes(src, dst);
             auto chain = claimer.tryClaim(routes.primary,
                                           routes.fallback, i,
-                                          op.wait);
+                                          op.wait, blockers);
             if (chain) {
                 if (trace) {
                     int64_t stage = 0;
@@ -553,12 +565,7 @@ class Simulator
                 return true;
             }
         }
-        if (trace
-            && obs::stallEventGate(op.wait, opts.adapt_timeout,
-                                   opts.bfs_timeout))
-            trace->record(
-                {cycle, obs::EventKind::RouteDeny, i, op.wait});
-        return false;
+        return stalled(i, memos.fail(i, mesh, engine::FailKind::Denied));
     }
 
     /** Record a successful corridor placement. */
@@ -596,6 +603,7 @@ class Simulator
     void
     activate(int i, uint64_t duration)
     {
+        memos.forget(i);
         expiry.schedule(cycle + duration, i);
     }
 
@@ -634,6 +642,7 @@ class Simulator
                     trace->record(
                         {cycle, obs::EventKind::RouteDrop, i});
                 op.wait = 0;
+                memos.forget(i);
                 if (op.scheme_set && op.scheme != Scheme::Teleport
                     && arbiter->fallbackToTeleport()) {
                     op.scheme = Scheme::Teleport;
@@ -723,6 +732,7 @@ class Simulator
 
     std::vector<OpRec> ops;
     const std::vector<int> &crit;
+    engine::FailMemos memos;
     obs::TraceRecorder *trace;
     std::vector<std::vector<int>> factory_order; ///< Per qubit.
     engine::ReadyQueue ready;

@@ -121,7 +121,8 @@ struct HybridOptions
     /** Safety bound on simulated cycles. */
     uint64_t max_cycles = 100'000'000;
 
-    /** Event-driven time skipping (bit-identical either way). */
+    /** Event-driven time skipping and failure memos
+     *  (bit-identical either way). */
     bool fast_forward = true;
 
     /** Pre-optimization claim paths, for honest A/B baselines. */

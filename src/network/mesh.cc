@@ -21,6 +21,7 @@ Mesh::Mesh(int width, int height)
     // index from coordinates.
     right_link.assign(static_cast<size_t>(w * h), -1);
     down_link.assign(static_cast<size_t>(w * h), -1);
+    release_stamp.assign(node_owner.size() + link_owner.size(), 0);
     for (int y = 0; y < h; ++y) {
         for (int x = 0; x < w; ++x) {
             auto n = static_cast<size_t>(y * w + x);
@@ -98,14 +99,6 @@ Mesh::nodeAvailable(const Coord &c, int owner) const
     return cur == no_owner || cur == owner;
 }
 
-bool
-Mesh::linkAvailable(const Coord &a, const Coord &b, int owner) const
-{
-    int cur = link_owner[static_cast<size_t>(
-        linkIndexFast(nodeIndexFast(a), nodeIndexFast(b)))];
-    return cur == no_owner || cur == owner;
-}
-
 void
 Mesh::disableNode(const Coord &c)
 {
@@ -131,8 +124,21 @@ Mesh::disableLink(const Coord &a, const Coord &b)
     defect_links.push_back(static_cast<int32_t>(li));
 }
 
+namespace {
+
+/** Report @p r through @p blocker (when wanted); @return false. */
 bool
-Mesh::routeFree(const Path &path, int owner) const
+blockedBy(ResourceId *blocker, ResourceId r)
+{
+    if (blocker)
+        *blocker = r;
+    return false;
+}
+
+} // namespace
+
+bool
+Mesh::routeFree(const Path &path, int owner, ResourceId *blocker) const
 {
     if (path.empty())
         return true;
@@ -141,12 +147,12 @@ Mesh::routeFree(const Path &path, int owner) const
         int ni = nodeIndexFast(c);
         int cur = node_owner[static_cast<size_t>(ni)];
         if (cur != no_owner && cur != owner)
-            return false;
+            return blockedBy(blocker, ni);
         if (prev >= 0) {
             int li = linkIndexFast(prev, ni);
             cur = link_owner[static_cast<size_t>(li)];
             if (cur != no_owner && cur != owner)
-                return false;
+                return blockedBy(blocker, numNodes() + li);
         }
         prev = ni;
     }
@@ -154,7 +160,7 @@ Mesh::routeFree(const Path &path, int owner) const
 }
 
 bool
-Mesh::tryClaim(const Path &path, int owner)
+Mesh::tryClaim(const Path &path, int owner, ResourceId *blocker)
 {
     assert(owner != no_owner && "cannot claim with the no-owner id");
 
@@ -167,12 +173,12 @@ Mesh::tryClaim(const Path &path, int owner)
         int ni = nodeIndexFast(c);
         int cur = node_owner[static_cast<size_t>(ni)];
         if (cur != no_owner && cur != owner)
-            return false;
+            return blockedBy(blocker, ni);
         if (prev >= 0) {
             int li = linkIndexFast(prev, ni);
             cur = link_owner[static_cast<size_t>(li)];
             if (cur != no_owner && cur != owner)
-                return false;
+                return blockedBy(blocker, numNodes() + li);
             walk_links.push_back(li);
         }
         walk_nodes.push_back(ni);
@@ -205,21 +211,54 @@ Mesh::claim(const Path &path, int owner)
     panicIf(!tryClaim(path, owner), "claim on a busy route");
 }
 
+ResourceId
+Mesh::stepBlocker(const Coord &from, const Coord &to, int owner) const
+{
+    int ia = nodeIndexFast(from);
+    int ib = nodeIndexFast(to);
+    int cur = node_owner[static_cast<size_t>(ib)];
+    if (cur != no_owner && cur != owner)
+        return ib;
+    int li = linkIndexFast(ia, ib);
+    cur = link_owner[static_cast<size_t>(li)];
+    if (cur != no_owner && cur != owner)
+        return numNodes() + li;
+    return no_resource;
+}
+
 void
 Mesh::release(const Path &path, int owner)
+{
+    unclaim(path, owner, ++releases);
+}
+
+void
+Mesh::suspend(const Path &path, int owner)
+{
+    unclaim(path, owner, 0);
+}
+
+void
+Mesh::unclaim(const Path &path, int owner, uint64_t stamp)
 {
     int prev = -1;
     for (const Coord &c : path.nodes) {
         int ni = nodeIndexFast(c);
         auto &node = node_owner[static_cast<size_t>(ni)];
-        if (node == owner)
+        if (node == owner) {
             node = no_owner;
+            if (stamp)
+                release_stamp[static_cast<size_t>(ni)] = stamp;
+        }
         if (prev >= 0) {
-            auto &link = link_owner[static_cast<size_t>(
-                linkIndexFast(prev, ni))];
+            int li = linkIndexFast(prev, ni);
+            auto &link = link_owner[static_cast<size_t>(li)];
             if (link == owner) {
                 link = no_owner;
                 --busy_links;
+                if (stamp)
+                    release_stamp[static_cast<size_t>(numNodes() + li)] =
+                        stamp;
             }
         }
         prev = ni;
@@ -245,6 +284,7 @@ Mesh::reset()
         node_owner[static_cast<size_t>(ni)] = defect_owner;
     for (int32_t li : defect_links)
         link_owner[static_cast<size_t>(li)] = defect_owner;
+    std::fill(release_stamp.begin(), release_stamp.end(), ++releases);
     busy_links = 0;
     peak_busy_links = 0;
     ticks = 0;

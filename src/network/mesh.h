@@ -16,9 +16,15 @@
  * tryClaim() walks a route once, validating and recording indices in
  * a single traversal instead of the routeFree-then-claim double walk.
  * Per-coordinate validity checks on the hot entries (tryClaim,
- * release, routeFree, the *Available queries) are debug-only
+ * release, routeFree, nodeAvailable, stepBlocker) are debug-only
  * assert()s — callers own path validity there; the checked panics
  * remain on the cold claim() entry.
+ *
+ * Only release() gives resources back, and it stamps each one it
+ * frees with a running release count.  A failed claim reports the
+ * busy resource that stopped it, so a scheduler can tell a retry
+ * that must fail again (nothing it hit has been released) from one
+ * that might succeed.
  */
 
 #ifndef QSURF_NETWORK_MESH_H
@@ -27,6 +33,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/geometry.h"
 #include "common/small_vector.h"
 
@@ -53,6 +60,16 @@ struct Path
 };
 
 /**
+ * A mesh resource: a router's node index, or numNodes() plus a
+ * link's index.  Failed claims and route searches name the busy
+ * resources that stopped them in these terms.
+ */
+using ResourceId = int32_t;
+
+/** The busy resources that stopped a failed claim or route search. */
+using Blockers = std::vector<ResourceId, ArenaAllocator<ResourceId>>;
+
+/**
  * The mesh: a width x height grid of routers with unit-capacity
  * links, exclusive circuit-switched ownership, and busy-time
  * accounting.
@@ -71,6 +88,9 @@ class Mesh
      * re-applies it — so damage needs no branch on any hot path.
      */
     static constexpr int defect_owner = -2;
+
+    /** "Nothing blocks": the blocker queries' empty answer. */
+    static constexpr ResourceId no_resource = -1;
 
     Mesh(int width, int height);
 
@@ -92,19 +112,42 @@ class Mesh
     /** @return owner of the link a-b (must be adjacent routers). */
     int linkOwner(const Coord &a, const Coord &b) const;
 
+    /** @return the resource id of router @p c. */
+    ResourceId nodeResource(const Coord &c) const { return nodeIndex(c); }
+
+    /** @return the resource id of the link a-b (adjacent routers). */
+    ResourceId
+    linkResource(const Coord &a, const Coord &b) const
+    {
+        return numNodes() + linkIndex(a, b);
+    }
+
     /**
      * @return true when every node and link of @p path is free or
-     * already owned by @p owner.
+     * already owned by @p owner; otherwise false, with the first busy
+     * resource of the walk in @p blocker when it is non-null.
      */
-    bool routeFree(const Path &path, int owner) const;
+    bool routeFree(const Path &path, int owner,
+                   ResourceId *blocker = nullptr) const;
 
     /**
      * Walk @p path once: validate that every node and link is free
      * (or already owned by @p owner) and, when they all are, claim
      * them using the indices recorded during the walk.  @return true
-     * on success; on failure the mesh is unmodified.
+     * on success; on failure the mesh is unmodified and @p blocker,
+     * when non-null, receives the first busy resource of the walk.
      */
-    bool tryClaim(const Path &path, int owner);
+    bool tryClaim(const Path &path, int owner,
+                  ResourceId *blocker = nullptr);
+
+    /**
+     * @return what stops @p owner stepping from router @p from to the
+     * adjacent router @p to: the router @p to when someone else holds
+     * it, else the link between them when someone else holds that,
+     * else no_resource.
+     */
+    ResourceId stepBlocker(const Coord &from, const Coord &to,
+                           int owner) const;
 
     /**
      * Claim every node and link of @p path for @p owner.
@@ -113,14 +156,36 @@ class Mesh
      */
     void claim(const Path &path, int owner);
 
-    /** Release every node and link of @p path owned by @p owner. */
+    /**
+     * Release every node and link of @p path owned by @p owner, and
+     * stamp each one freed with the new releaseCount().  Claims only
+     * take resources, so a claim or search that failed on a busy
+     * resource cannot succeed until that resource's stamp moves.
+     */
     void release(const Path &path, int owner);
+
+    /**
+     * Free like release(), but without stamping: for a hold that is
+     * lent out only for the span of one claim attempt, after which
+     * the holder takes it back or the claimer keeps it (a patch
+     * terminal's reservation, suspended while a chain ending there
+     * claims).  To every other requester the resource never came
+     * free.
+     */
+    void suspend(const Path &path, int owner);
+
+    /** @return release() calls so far: the latest release stamp. */
+    uint64_t releaseCount() const { return releases; }
+
+    /** @return the releaseCount() that last freed @p r (0 = never). */
+    uint64_t
+    releaseStamp(ResourceId r) const
+    {
+        return release_stamp[static_cast<size_t>(r)];
+    }
 
     /** @return true if router @p c is free or owned by @p owner. */
     bool nodeAvailable(const Coord &c, int owner) const;
-
-    /** @return true if link a-b is free or owned by @p owner. */
-    bool linkAvailable(const Coord &a, const Coord &b, int owner) const;
 
     /**
      * Mark router @p c permanently defective (idempotent).  Apply
@@ -203,7 +268,8 @@ class Mesh
     /** @return average fraction of links busy per cycle so far. */
     double utilization() const;
 
-    /** Clear ownership and statistics. */
+    /** Clear ownership and statistics; every resource counts as
+     *  released. */
     void reset();
 
   private:
@@ -219,6 +285,10 @@ class Mesh
      */
     int linkIndexFast(int ia, int ib) const;
 
+    /** Free @p path's resources held by @p owner, stamping each with
+     *  @p stamp unless it is 0. */
+    void unclaim(const Path &path, int owner, uint64_t stamp);
+
     int w;
     int h;
     std::vector<int> node_owner;
@@ -233,6 +303,10 @@ class Mesh
     /** tryClaim() scratch: indices recorded by the validation walk. */
     std::vector<int32_t> walk_nodes;
     std::vector<int32_t> walk_links;
+
+    /** Per resource id: the releaseCount() that last freed it. */
+    std::vector<uint64_t> release_stamp;
+    uint64_t releases = 0;
 
     /** Defective resource indices, re-applied by reset(). */
     std::vector<int32_t> defect_nodes;

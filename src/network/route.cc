@@ -53,13 +53,17 @@ yxRoute(const Coord &src, const Coord &dst)
 
 std::optional<Path>
 adaptiveRoute(const Mesh &mesh, const Coord &src, const Coord &dst,
-              int owner, BfsScratch &scratch)
+              int owner, BfsScratch &scratch, Blockers *boundary)
 {
     fatalIf(!mesh.contains(src) || !mesh.contains(dst),
             "route endpoint outside the mesh");
-    if (!mesh.nodeAvailable(src, owner)
-        || !mesh.nodeAvailable(dst, owner))
-        return std::nullopt;
+    for (const Coord &end : {src, dst}) {
+        if (!mesh.nodeAvailable(end, owner)) {
+            if (boundary)
+                boundary->push_back(mesh.nodeResource(end));
+            return std::nullopt;
+        }
+    }
     if (src == dst)
         return Path{{src}};
 
@@ -85,9 +89,16 @@ adaptiveRoute(const Mesh &mesh, const Coord &src, const Coord &dst,
             Coord next{cur.x + d.x, cur.y + d.y};
             if (!mesh.contains(next) || scratch.seen(idx(next)))
                 continue;
-            if (!mesh.nodeAvailable(next, owner)
-                || !mesh.linkAvailable(cur, next, owner))
+            ResourceId busy = mesh.stepBlocker(cur, next, owner);
+            if (busy != Mesh::no_resource) {
+                if (boundary)
+                    boundary->push_back(busy);
+                // A busy router stays busy for the whole search:
+                // mark it seen so it is tested (and reported) once.
+                if (busy == idx(next))
+                    scratch.visit(busy, -1);
                 continue;
+            }
             scratch.visit(idx(next), idx(cur));
             if (next == dst) {
                 found = true;
@@ -108,10 +119,10 @@ adaptiveRoute(const Mesh &mesh, const Coord &src, const Coord &dst,
 
 std::optional<Path>
 adaptiveRoute(const Mesh &mesh, const Coord &src, const Coord &dst,
-              int owner)
+              int owner, Blockers *boundary)
 {
     BfsScratch scratch;
-    return adaptiveRoute(mesh, src, dst, owner, scratch);
+    return adaptiveRoute(mesh, src, dst, owner, scratch, boundary);
 }
 
 } // namespace qsurf::network

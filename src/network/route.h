@@ -114,22 +114,29 @@ class BfsScratch
 /**
  * Shortest path through currently-free resources, found by BFS.
  *
- * @param mesh    the mesh with current ownership state.
- * @param src     source router.
- * @param dst     destination router.
- * @param owner   requester id; resources it already owns count as
- *                available (needed to re-route its own braid).
- * @param scratch caller-owned reusable working set.
+ * @param mesh     the mesh with current ownership state.
+ * @param src      source router.
+ * @param dst      destination router.
+ * @param owner    requester id; resources it already owns count as
+ *                 available (needed to re-route its own braid).
+ * @param scratch  caller-owned reusable working set.
+ * @param boundary when non-null and the search fails, receives what
+ *                 stopped it: the busy endpoint, or every busy
+ *                 router or link bounding the explored region (any
+ *                 free path would have to cross one of them).
+ *                 Appended to; holds partial data on success.
  * @return a free path, or nullopt when src and dst are disconnected
  *         in the free subgraph.
  */
 std::optional<Path> adaptiveRoute(const Mesh &mesh, const Coord &src,
                                   const Coord &dst, int owner,
-                                  BfsScratch &scratch);
+                                  BfsScratch &scratch,
+                                  Blockers *boundary = nullptr);
 
 /** Convenience overload allocating a one-shot scratch. */
 std::optional<Path> adaptiveRoute(const Mesh &mesh, const Coord &src,
-                                  const Coord &dst, int owner);
+                                  const Coord &dst, int owner,
+                                  Blockers *boundary = nullptr);
 
 } // namespace qsurf::network
 

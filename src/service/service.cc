@@ -24,20 +24,29 @@ msSince(Clock::time_point start)
         .count();
 }
 
+/** @return the bit pattern of @p v: exact, unlike a decimal print. */
+uint64_t
+bitsOf(double v)
+{
+    uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
 /**
  * The batch identity of a request: the program source, the backend,
- * and every RunConfig field any backend folds into its artifactKey().
- * Two requests with equal keys are guaranteed to resolve to the same
- * prepared program and machine artifact, so one prepare serves both.
- * (Fields outside the key — technology constants, timeouts, EPR
- * windows — may still differ; each request keeps its own run.)
+ * and every RunConfig field any backend folds into its artifactKey()
+ * — including the technology, which sets the resolved code distance,
+ * and the fabric damage.  Two requests with equal keys are
+ * guaranteed to resolve to the same prepared program and machine
+ * artifact, so one prepare serves both.  (Fields outside the key —
+ * timeouts, EPR windows — may still differ; each request keeps its
+ * own run.)
  */
 std::string
 batchKey(const CompileRequest &req)
 {
-    uint64_t tf_bits = 0;
-    std::memcpy(&tf_bits, &req.decompose.rz_t_fraction,
-                sizeof(tf_bits));
+    const qec::Technology &tech = req.config.tech;
     std::ostringstream os;
     if (req.circuit)
         os << "fp=" << std::hex << circuit::fingerprint(*req.circuit)
@@ -47,8 +56,8 @@ batchKey(const CompileRequest &req)
            << "/n=" << req.gen.problem_size
            << "/it=" << req.gen.max_iterations;
     os << "/rz=" << req.decompose.rz_sequence_length << "/tf="
-       << std::hex << tf_bits << std::dec << "/sw="
-       << (req.decompose.expand_swap ? 1 : 0) << "/ph="
+       << std::hex << bitsOf(req.decompose.rz_t_fraction) << std::dec
+       << "/sw=" << (req.decompose.expand_swap ? 1 : 0) << "/ph="
        << (req.run_peephole ? 1 : 0) << "|" << req.backend << "|s="
        << req.config.seed << "/d=" << req.config.code_distance
        << "/p=" << req.config.policy << "/obj="
@@ -56,7 +65,11 @@ batchKey(const CompileRequest &req)
        << req.config.lane_spacing << "/r="
        << req.config.num_simd_regions << "/cap="
        << req.config.region_capacity << "/leg="
-       << (req.config.legacy_baseline ? 1 : 0);
+       << (req.config.legacy_baseline ? 1 : 0) << "/tech=" << std::hex
+       << bitsOf(tech.p_physical) << "," << bitsOf(tech.t_two_qubit_ns)
+       << "," << bitsOf(tech.single_qubit_speedup) << ","
+       << bitsOf(tech.t_measure_ns) << std::dec
+       << engine::defectKeySuffix(req.config.defectParams());
     return os.str();
 }
 
@@ -193,7 +206,8 @@ CompileService::workerLoop()
             queue.pop_front();
             // Pull every queued request with the same prepare
             // identity into this batch: one artifact fetch, N runs.
-            const std::string &key = batch.front().key;
+            // The key is a copy: push_back below may reallocate.
+            const std::string key = batch.front().key;
             for (auto it = queue.begin(); it != queue.end();) {
                 if (it->key == key) {
                     batch.push_back(std::move(*it));

@@ -66,7 +66,8 @@ class Simulator
           arch(prep.arch), mesh(arch.makeMesh()),
           claim_opts(makeClaimOptions(opts)),
           claimer(mesh, claim_opts), corridors(arch),
-          crit(prep.crit), trace(opts.trace)
+          crit(prep.crit), memos(circ.size(), opts.fast_forward),
+          trace(opts.trace)
     {
         if (trace) {
             trace->meshDims(mesh.width(), mesh.height());
@@ -198,6 +199,7 @@ class Simulator
     makeReady(int i)
     {
         ops[static_cast<size_t>(i)].wait = 0;
+        memos.forget(i);
         ready.insert(makeEntry(i));
         if (trace)
             trace->record({cycle, obs::EventKind::OpReady, i});
@@ -232,6 +234,14 @@ class Simulator
             return true;
         }
 
+        uint64_t stock =
+            op.cls == OpClass::TGate ? factories.version() : 0;
+        if (auto repeat = memos.replay(
+                i, mesh, stock,
+                engine::escalationStage(op.wait, claim_opts)))
+            return stalled(i, *repeat);
+        network::Blockers *blockers = memos.blockers();
+
         Coord src = arch.terminal(op.qa);
         // Candidate destinations: (terminal, factory index or -1).
         std::vector<std::pair<Coord, int>> &dsts = dsts_scratch;
@@ -245,14 +255,8 @@ class Simulator
                        [this](int f) {
                            return arch.factoryTerminal(f);
                        })) {
-            ++magic_starvations;
-            ++pass_starved;
-            if (trace
-                && obs::stallEventGate(op.wait, opts.adapt_timeout,
-                                       opts.bfs_timeout))
-                trace->record(
-                    {cycle, obs::EventKind::FactoryStarve, i});
-            return false;
+            return stalled(
+                i, memos.fail(i, mesh, engine::FailKind::Starved));
         }
 
         uint64_t transpose_before = 0;
@@ -271,13 +275,13 @@ class Simulator
                 network::Path fallback =
                     arch.corridorRoute(src, dst, true);
                 chain = claimer.tryClaim(primary, fallback, i,
-                                         op.wait);
+                                         op.wait, blockers);
             } else {
                 const CorridorRouter::Routes &routes =
                     corridors.routes(src, dst);
                 chain = claimer.tryClaim(routes.primary,
                                          routes.fallback, i,
-                                         op.wait);
+                                         op.wait, blockers);
             }
             if (chain) {
                 if (trace) {
@@ -299,11 +303,24 @@ class Simulator
                 return true;
             }
         }
-        if (trace
-            && obs::stallEventGate(op.wait, opts.adapt_timeout,
-                                   opts.bfs_timeout))
-            trace->record(
-                {cycle, obs::EventKind::RouteDeny, i, op.wait});
+        return stalled(i, memos.fail(i, mesh, engine::FailKind::Denied));
+    }
+
+    /**
+     * Account a failed attempt of op @p i, real or replayed from its
+     * memo — one path, so the two cannot drift apart.
+     * @return false, for tryPlace() to return.
+     */
+    bool
+    stalled(int i, engine::FailKind kind)
+    {
+        if (kind == engine::FailKind::Starved) {
+            ++magic_starvations;
+            ++pass_starved;
+        }
+        engine::traceStall(trace, cycle, i,
+                           ops[static_cast<size_t>(i)].wait, kind,
+                           claim_opts);
         return false;
     }
 
@@ -338,6 +355,7 @@ class Simulator
     void
     activate(int i, uint64_t duration)
     {
+        memos.forget(i);
         expiry.schedule(cycle + duration, i);
     }
 
@@ -374,6 +392,7 @@ class Simulator
                     trace->record(
                         {cycle, obs::EventKind::RouteDrop, i});
                 op.wait = 0;
+                memos.forget(i);
                 it = ready.erase(it);
                 dropped_scratch.push_back(i);
                 continue;
@@ -466,6 +485,7 @@ class Simulator
     std::vector<std::pair<Coord, int>> dsts_scratch;
 
     engine::MagicFactoryPool factories;
+    engine::FailMemos memos;
     obs::TraceRecorder *trace;
 
     uint64_t chains_placed = 0;

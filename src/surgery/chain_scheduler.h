@@ -86,9 +86,11 @@ struct SurgeryOptions
     /**
      * Event-driven time skipping: when a placement pass claims
      * nothing, jump straight to the next chain retirement or
-     * escalation threshold instead of ticking one cycle at a time.
-     * Results are bit-identical either way; disabling reproduces
-     * the original loop for A/B perf measurement.
+     * escalation threshold instead of ticking one cycle at a time,
+     * and replay provably repeated failed attempts from their memos
+     * (engine::FailMemos).  Results are bit-identical either way;
+     * disabling reproduces the original loop for A/B perf
+     * measurement.
      */
     bool fast_forward = true;
 

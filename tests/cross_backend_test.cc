@@ -2,7 +2,8 @@
  * @file
  * Generative cross-backend harness: seeded random Clifford+T
  * circuits crossed with stress scenarios (tight escalation
- * timeouts, magic-state factory starvation, a small mesh), run
+ * timeouts, magic-state factory starvation, a small mesh, a damaged
+ * fabric, dense traffic), run
  * through every registered backend and checked against the
  * invariants all of them must share:
  *
@@ -92,6 +93,13 @@ scenarios()
              c.magic_buffer_capacity = 1;
          }},
         {"small-mesh", 4, 40, [](RunConfig &) {}},
+        // Dead tiles and links: defect sentinels are blockers that
+        // never come free.
+        {"damaged-fabric", 10, 60,
+         [](RunConfig &c) { c.defect_density = 0.1; }},
+        // Dense traffic: ops stall into the BFS stage, and T gates
+        // widen across several factories.
+        {"congested", 32, 480, [](RunConfig &) {}},
     };
     return table;
 }

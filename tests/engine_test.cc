@@ -329,5 +329,155 @@ TEST(FastForward, RecordsSkippedCycles)
     EXPECT_EQ(ff.skipped(), 12u);
 }
 
+TEST(EscalationStage, NamesTheRoutesAnAttemptTries)
+{
+    RouteClaimOptions route;
+    route.adapt_timeout = 4;
+    route.bfs_timeout = 8;
+    EXPECT_EQ(escalationStage(0, route), 0);
+    EXPECT_EQ(escalationStage(3, route), 0);
+    EXPECT_EQ(escalationStage(4, route), 1);
+    EXPECT_EQ(escalationStage(8, route), 3);
+    EXPECT_EQ(escalationStage(100, route), 3);
+
+    // Timeouts in either order keep the stages distinct.
+    route.adapt_timeout = 8;
+    route.bfs_timeout = 4;
+    EXPECT_EQ(escalationStage(4, route), 2);
+    EXPECT_EQ(escalationStage(8, route), 3);
+}
+
+/**
+ * A 5x5 mesh cut in two by a wall at x = 2 that owner 7 holds, plus
+ * an unrelated hold by owner 8 beyond the wall.  Op 0 routes across
+ * the wall, fully escalated, and always fails.
+ */
+class FailMemosAcrossWall : public ::testing::Test
+{
+  protected:
+    FailMemosAcrossWall()
+    {
+        for (int y = 0; y <= 4; ++y)
+            wall.nodes.push_back(Coord{2, y});
+        mesh.claim(wall, 7);
+        elsewhere.nodes.push_back(Coord{4, 3});
+        elsewhere.nodes.push_back(Coord{4, 4});
+        mesh.claim(elsewhere, 8);
+    }
+
+    /** Op 0's real attempt; records blockers when @p sink is set. */
+    bool
+    attempt(network::Blockers *sink = nullptr)
+    {
+        return claimer
+            .tryClaim(Coord{0, 0}, Coord{4, 0}, 0, route.bfs_timeout,
+                      false, sink)
+            .has_value();
+    }
+
+    /** Fail op 0's attempt and memoise it at @p stock / @p stage. */
+    void
+    failAttempt(uint64_t stock, int stage)
+    {
+        ASSERT_FALSE(memos.replay(0, mesh, stock, stage));
+        ASSERT_FALSE(attempt(memos.blockers()));
+        memos.fail(0, mesh, FailKind::Denied);
+    }
+
+    network::Mesh mesh{5, 5};
+    network::Path wall;
+    network::Path elsewhere;
+    RouteClaimOptions route;
+    RouteClaimer claimer{mesh, route};
+    FailMemos memos{1, true};
+    const int stage = escalationStage(route.bfs_timeout, route);
+};
+
+TEST_F(FailMemosAcrossWall, ReleaseElsewhereStillHits)
+{
+    failAttempt(0, stage);
+    mesh.release(elsewhere, 8);
+    EXPECT_EQ(memos.replay(0, mesh, 0, stage),
+              std::optional<FailKind>(FailKind::Denied));
+    EXPECT_FALSE(attempt()) << "the oracle agrees";
+}
+
+TEST_F(FailMemosAcrossWall, ReleasingABlockerMisses)
+{
+    failAttempt(0, stage);
+    mesh.release(wall, 7);
+    EXPECT_FALSE(memos.replay(0, mesh, 0, stage));
+    EXPECT_TRUE(attempt()) << "the oracle agrees";
+}
+
+TEST_F(FailMemosAcrossWall, StockChangeMisses)
+{
+    failAttempt(0, stage);
+    EXPECT_FALSE(memos.replay(0, mesh, 1, stage));
+}
+
+TEST_F(FailMemosAcrossWall, StageChangeMisses)
+{
+    failAttempt(0, stage);
+    EXPECT_FALSE(memos.replay(0, mesh, 0, escalationStage(0, route)));
+}
+
+TEST_F(FailMemosAcrossWall, ForgottenOrDisabledMemosNeverHit)
+{
+    failAttempt(0, stage);
+    memos.forget(0);
+    EXPECT_FALSE(memos.replay(0, mesh, 0, stage));
+
+    FailMemos off(1, false);
+    EXPECT_FALSE(off.replay(0, mesh, 0, stage));
+    EXPECT_EQ(off.blockers(), nullptr);
+    EXPECT_EQ(off.fail(0, mesh, FailKind::Starved), FailKind::Starved);
+    EXPECT_FALSE(off.replay(0, mesh, 0, stage));
+}
+
+TEST(FailMemos, SuspendedTerminalsStayBlocked)
+{
+    // A 5x1 line of patch terminals at x = 0, 2, 4.  Op 0's chain
+    // from 0 to 4 must pass through the reserved terminal at 2.
+    network::Mesh mesh(5, 1);
+    RouteClaimOptions route;
+    ChainClaimer claimer(mesh, route);
+    for (int x : {0, 2, 4})
+        claimer.reserveTerminal(Coord{x, 0});
+    network::Path across;
+    for (int x = 0; x <= 4; ++x)
+        across.nodes.push_back(Coord{x, 0});
+    network::Path right;
+    for (int x = 2; x <= 4; ++x)
+        right.nodes.push_back(Coord{x, 0});
+
+    FailMemos memos(2, true);
+    int stage = escalationStage(route.bfs_timeout, route);
+    ASSERT_FALSE(memos.replay(0, mesh, 0, stage));
+    ASSERT_FALSE(claimer.tryClaim(across, across, 0, route.bfs_timeout,
+                                  memos.blockers()));
+    memos.fail(0, mesh, FailKind::Denied);
+
+    // Op 1 merges 2 and 4: its claim suspends the terminal at 2,
+    // which is not a release.
+    network::Path busy;
+    busy.nodes.push_back(Coord{3, 0});
+    mesh.claim(busy, 9);
+    EXPECT_FALSE(claimer.tryClaim(right, right, 1, 0));
+    mesh.release(busy, 9);
+    EXPECT_EQ(memos.replay(0, mesh, 0, stage),
+              std::optional<FailKind>(FailKind::Denied));
+    auto chain = claimer.tryClaim(right, right, 1, 0);
+    ASSERT_TRUE(chain.has_value());
+    EXPECT_EQ(memos.replay(0, mesh, 0, stage),
+              std::optional<FailKind>(FailKind::Denied));
+
+    // Op 1's chain completing does release the terminal.
+    claimer.release(*chain, 1);
+    EXPECT_FALSE(memos.replay(0, mesh, 0, stage));
+    EXPECT_FALSE(claimer.tryClaim(across, across, 0, route.bfs_timeout))
+        << "re-reserved, so the oracle still fails";
+}
+
 } // namespace
 } // namespace qsurf::engine

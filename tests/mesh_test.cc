@@ -247,6 +247,93 @@ TEST(Mesh, DisableIsIdempotent)
     EXPECT_EQ(m.numDefectiveLinks(), 1);
 }
 
+TEST(Mesh, FailedClaimReportsFirstBusyResource)
+{
+    Mesh m(5, 5);
+    m.claim(straightPath(2, 0, 4), 1);
+    Path vertical;
+    for (int y = 0; y <= 4; ++y)
+        vertical.nodes.push_back(Coord{2, y});
+    ResourceId blocker = Mesh::no_resource;
+    EXPECT_FALSE(m.tryClaim(vertical, 2, &blocker));
+    EXPECT_EQ(blocker, m.nodeResource(Coord{2, 2}));
+    blocker = Mesh::no_resource;
+    EXPECT_FALSE(m.routeFree(vertical, 2, &blocker));
+    EXPECT_EQ(blocker, m.nodeResource(Coord{2, 2}));
+
+    // Free routers, busy link: the link is what blocks.
+    m.disableLink(Coord{1, 4}, Coord{2, 4});
+    EXPECT_FALSE(m.tryClaim(straightPath(4, 0, 4), 2, &blocker));
+    EXPECT_EQ(blocker, m.linkResource(Coord{1, 4}, Coord{2, 4}));
+    EXPECT_EQ(blocker, m.linkResource(Coord{2, 4}, Coord{1, 4}))
+        << "link ids are direction-agnostic";
+
+    // A successful claim leaves the out-parameter alone.
+    blocker = 123;
+    EXPECT_TRUE(m.tryClaim(straightPath(0, 0, 4), 2, &blocker));
+    EXPECT_EQ(blocker, 123);
+}
+
+TEST(Mesh, StepBlockerPrefersTheRouter)
+{
+    Mesh m(3, 3);
+    m.disableLink(Coord{0, 0}, Coord{1, 0});
+    EXPECT_EQ(m.stepBlocker(Coord{0, 0}, Coord{1, 0}, 1),
+              m.linkResource(Coord{0, 0}, Coord{1, 0}));
+    m.disableNode(Coord{1, 0});
+    EXPECT_EQ(m.stepBlocker(Coord{0, 0}, Coord{1, 0}, 1),
+              m.nodeResource(Coord{1, 0}));
+    EXPECT_EQ(m.stepBlocker(Coord{0, 0}, Coord{0, 1}, 1),
+              Mesh::no_resource);
+}
+
+TEST(Mesh, ReleaseStampsOnlyWhatItFrees)
+{
+    Mesh m(5, 5);
+    Path a = straightPath(0, 0, 2);
+    Path b = straightPath(0, 2, 4); // shares (2,0), held by a
+    m.claim(a, 1);
+    m.claim(straightPath(3, 0, 4), 2);
+    EXPECT_EQ(m.releaseCount(), 0u);
+
+    // Owner 2 owns nothing on b: (2,0) is owner 1's, the rest free.
+    m.release(b, 2);
+    EXPECT_EQ(m.releaseCount(), 1u);
+    EXPECT_EQ(m.releaseStamp(m.nodeResource(Coord{2, 0})), 0u)
+        << "(2,0) is owner 1's: not freed, not stamped";
+
+    m.release(a, 1);
+    EXPECT_EQ(m.releaseCount(), 2u);
+    for (int x = 0; x <= 2; ++x)
+        EXPECT_EQ(m.releaseStamp(m.nodeResource(Coord{x, 0})), 2u);
+    EXPECT_EQ(m.releaseStamp(m.linkResource(Coord{0, 0}, Coord{1, 0})),
+              2u);
+    EXPECT_EQ(m.releaseStamp(m.linkResource(Coord{2, 0}, Coord{3, 0})),
+              0u)
+        << "never held, never stamped";
+    EXPECT_EQ(m.releaseStamp(m.nodeResource(Coord{0, 3})), 0u)
+        << "owner 2's route is still held";
+}
+
+TEST(Mesh, SuspensionFreesWithoutStamping)
+{
+    // A patch terminal's reservation, lent to one claim attempt.
+    Mesh m(3, 3);
+    Path terminal;
+    terminal.nodes.push_back(Coord{1, 1});
+    const int sentinel = 1 << 28;
+    m.claim(terminal, sentinel);
+
+    m.suspend(terminal, sentinel);
+    EXPECT_EQ(m.nodeOwner(Coord{1, 1}), Mesh::no_owner);
+    EXPECT_EQ(m.releaseCount(), 0u);
+    EXPECT_EQ(m.releaseStamp(m.nodeResource(Coord{1, 1})), 0u);
+
+    m.claim(terminal, sentinel);
+    m.release(terminal, sentinel);
+    EXPECT_EQ(m.releaseStamp(m.nodeResource(Coord{1, 1})), 1u);
+}
+
 TEST(Mesh, BulkTickMatchesRepeatedTicks)
 {
     Mesh a(3, 3), b(3, 3);

@@ -157,6 +157,8 @@ scenarios()
              c.magic_production_cycles = 60;
              c.magic_buffer_capacity = 1;
          }},
+        {"damaged-fabric",
+         [](engine::RunConfig &c) { c.defect_density = 0.1; }},
     };
     return table;
 }

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/logging.h"
 #include "network/route.h"
 
@@ -113,6 +116,52 @@ TEST(AdaptiveRoute, BusyEndpointFails)
         adaptiveRoute(m, Coord{0, 0}, Coord{3, 3}, 1).has_value());
     EXPECT_FALSE(
         adaptiveRoute(m, Coord{3, 3}, Coord{0, 0}, 1).has_value());
+}
+
+TEST(AdaptiveRoute, FailedSearchReportsItsBoundary)
+{
+    // A wall at x = 2 seals the left two columns: four held routers
+    // and one disabled link.  Each is reported once.
+    Mesh m(5, 5);
+    Path wall;
+    for (int y = 0; y <= 3; ++y)
+        wall.nodes.push_back(Coord{2, y});
+    m.claim(wall, 7);
+    m.disableLink(Coord{1, 4}, Coord{2, 4});
+
+    Blockers boundary;
+    EXPECT_FALSE(adaptiveRoute(m, Coord{0, 0}, Coord{4, 0}, 1,
+                               &boundary)
+                     .has_value());
+    std::vector<ResourceId> got(boundary.begin(), boundary.end());
+    std::sort(got.begin(), got.end());
+    std::vector<ResourceId> want;
+    for (int y = 0; y <= 3; ++y)
+        want.push_back(m.nodeResource(Coord{2, y}));
+    want.push_back(m.linkResource(Coord{1, 4}, Coord{2, 4}));
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(got, want);
+}
+
+TEST(AdaptiveRoute, EarlyReturnReportsTheBusyEndpoint)
+{
+    Mesh m(4, 4);
+    Path spot;
+    spot.nodes.push_back(Coord{3, 3});
+    m.claim(spot, 9);
+    Blockers boundary;
+    EXPECT_FALSE(adaptiveRoute(m, Coord{0, 0}, Coord{3, 3}, 1,
+                               &boundary)
+                     .has_value());
+    ASSERT_EQ(boundary.size(), 1u);
+    EXPECT_EQ(boundary[0], m.nodeResource(Coord{3, 3}));
+
+    boundary.clear();
+    EXPECT_FALSE(adaptiveRoute(m, Coord{3, 3}, Coord{0, 0}, 1,
+                               &boundary)
+                     .has_value());
+    ASSERT_EQ(boundary.size(), 1u);
+    EXPECT_EQ(boundary[0], m.nodeResource(Coord{3, 3}));
 }
 
 TEST(AdaptiveRoute, SameEndpointTrivial)

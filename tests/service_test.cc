@@ -458,6 +458,52 @@ TEST(CompileService, BatchesQueuedDuplicates)
     EXPECT_LE(stats.batches, 4u);
 }
 
+TEST(CompileService, BatchKeySeparatesDamagedFabrics)
+{
+    service::PrepareCache cache;
+    service::CompileService::Options opts;
+    opts.num_threads = 1; // One worker => the pair stays queued.
+    opts.cache = &cache;
+    service::CompileService svc(opts);
+
+    service::CompileRequest slow;
+    slow.app = apps::AppKind::IsingSemi;
+    slow.gen = {16, 4};
+    slow.backend = engine::backends::surgery_sim;
+    slow.config.code_distance = 3;
+    auto blocker = svc.submit(slow);
+
+    // Same program and backend; only the fabric damage differs, and
+    // it is part of the machine artifact.
+    service::CompileRequest clean;
+    clean.app = apps::AppKind::SQ;
+    clean.gen = {8, 2};
+    clean.backend = engine::backends::double_defect;
+    clean.config.code_distance = 5;
+    service::CompileRequest damaged = clean;
+    damaged.config.defect_density = 0.10;
+    auto clean_future = svc.submit(clean);
+    auto damaged_future = svc.submit(damaged);
+
+    ASSERT_TRUE(blocker.get().ok());
+    service::CompileResponse queued_clean = clean_future.get();
+    service::CompileResponse queued_damaged = damaged_future.get();
+    ASSERT_TRUE(queued_clean.ok()) << queued_clean.error;
+    ASSERT_TRUE(queued_damaged.ok()) << queued_damaged.error;
+
+    // The queue is empty now: each request runs alone.
+    service::CompileResponse alone_clean = svc.compile(clean);
+    service::CompileResponse alone_damaged = svc.compile(damaged);
+    EXPECT_TRUE(sameMetrics(queued_clean.metrics, alone_clean.metrics));
+    EXPECT_TRUE(
+        sameMetrics(queued_damaged.metrics, alone_damaged.metrics))
+        << "queued " << queued_damaged.metrics.schedule_cycles
+        << " cycles, alone "
+        << alone_damaged.metrics.schedule_cycles;
+    EXPECT_NE(alone_clean.metrics.schedule_cycles,
+              alone_damaged.metrics.schedule_cycles);
+}
+
 TEST(CompileService, ReportsErrorsPerRequestAndStaysUp)
 {
     service::PrepareCache cache;
