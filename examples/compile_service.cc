@@ -12,10 +12,11 @@
  * across backends, layout objectives and seeds — and prints each
  * response with its prepare/run wall-time split.  Requests after the
  * first for any (program, layout) identity hit the server's shared
- * PrepareCache, so their prepare column collapses to ~0 while the
- * metrics stay bit-identical to a cold compile; the closing stats
- * show the hit ratio and how many queued requests were batched onto
- * one artifact fetch.  In --connect mode the identical stream goes
+ * PrepareCache, so their prepare column collapses to ~0, and a
+ * repeated request is answered from the result memo without running
+ * its backend (run ms 0), while the metrics stay bit-identical to a
+ * cold compile; the closing stats show the cache's hit ratio.  In
+ * --connect mode the identical stream goes
  * through wire frames instead of function calls (and finishes by
  * asking the server to shut down), demonstrating that the two paths
  * return the same metrics.
@@ -79,7 +80,7 @@ runClient(const std::string &spec)
     std::vector<service::CompileRequest> stream = requestStream();
     Table t("Compile stream over the wire (two rounds)");
     t.header({"app", "backend", "obj", "cycles", "prep ms",
-              "run ms", "batch"});
+              "run ms"});
     for (size_t i = 0; i < stream.size(); ++i) {
         service::CompileResponse r = client.compile(stream[i]);
         if (!r.ok()) {
@@ -92,7 +93,7 @@ runClient(const std::string &spec)
                  stream[i].config.layout_objective,
                  r.metrics.schedule_cycles,
                  Table::fixed(r.prepare_ms, 2),
-                 Table::fixed(r.run_ms, 2), r.batch_size);
+                 Table::fixed(r.run_ms, 2));
     }
     t.print(std::cout);
 
@@ -152,8 +153,7 @@ main(int argc, char **argv)
     std::cout << "compile service up, " << svc.threads()
               << " worker threads\n\n";
 
-    // Submit everything up front (the service batches queued
-    // requests that share a prepare identity), then collect.
+    // Submit everything up front, then collect.
     std::vector<service::CompileRequest> stream = requestStream();
     std::vector<std::future<service::CompileResponse>> futures;
     for (const service::CompileRequest &req : stream)
@@ -161,7 +161,7 @@ main(int argc, char **argv)
 
     Table t("Compile stream (two rounds of the same requests)");
     t.header({"app", "backend", "obj", "cycles", "prep ms",
-              "run ms", "batch"});
+              "run ms"});
     for (size_t i = 0; i < futures.size(); ++i) {
         service::CompileResponse r = futures[i].get();
         if (!r.ok()) {
@@ -174,15 +174,13 @@ main(int argc, char **argv)
                  stream[i].config.layout_objective,
                  r.metrics.schedule_cycles,
                  Table::fixed(r.prepare_ms, 2),
-                 Table::fixed(r.run_ms, 2), r.batch_size);
+                 Table::fixed(r.run_ms, 2));
     }
     t.print(std::cout);
 
     service::ServiceStats stats = svc.stats();
-    std::cout << "\n" << stats.requests << " requests in "
-              << stats.batches << " batches ("
-              << stats.batched_requests
-              << " batched); cache: " << stats.cache.hits
+    std::cout << "\n" << stats.requests
+              << " requests; cache: " << stats.cache.hits
               << " hits / " << stats.cache.misses
               << " misses (hit ratio "
               << Table::fixed(stats.cache.hitRatio(), 2) << "), "
@@ -213,7 +211,7 @@ main(int argc, char **argv)
 
     std::cout << "\nTry: submit your own circuit by setting "
                  "CompileRequest::circuit, or point\nseveral "
-                 "clients at one service and watch the batch "
-                 "column grow.\n";
+                 "clients at one service: each repeat is answered "
+                 "from the result memo.\n";
     return 0;
 }

@@ -63,26 +63,6 @@ Arena::grow(size_t need_bytes)
     current_ = blocks_.size() - 1;
 }
 
-Arena::Checkpoint
-Arena::checkpoint() const
-{
-    Checkpoint cp;
-    cp.block = current_;
-    cp.used =
-        current_ < blocks_.size() ? blocks_[current_].used : 0;
-    return cp;
-}
-
-void
-Arena::rewind(const Checkpoint &cp)
-{
-    panicIf(cp.block > blocks_.size(),
-            "arena rewind past the current block list");
-    for (size_t i = cp.block; i < blocks_.size(); ++i)
-        blocks_[i].used = i == cp.block ? cp.used : 0;
-    current_ = cp.block;
-}
-
 void
 Arena::reset()
 {

@@ -8,10 +8,9 @@
  * with the unit.  An Arena turns those many small heap allocations
  * into pointer bumps inside a few large blocks: the owner resets the
  * arena between units, so steady state allocates nothing from the
- * global heap at all.  checkpoint()/rewind() give nested scopes
- * (e.g. per-request rewinds inside a per-batch reset), and the
- * allocation counters feed the bench A/B rows that keep the
- * allocation story honest (BENCH_scaleout.json, BENCH_perf.json).
+ * global heap at all.  The allocation counters feed the bench A/B
+ * rows that keep the allocation story honest (BENCH_scaleout.json,
+ * BENCH_perf.json).
  *
  * Arenas are single-threaded by design: each worker thread owns one.
  * The thread-local scratch binding (Arena::scratch() / Arena::Scope)
@@ -33,12 +32,12 @@
 
 namespace qsurf {
 
-/** A monotonic bump allocator with checkpoint/rewind and counters. */
+/** A monotonic bump allocator with reset and counters. */
 class Arena
 {
   public:
     /** Counter snapshot; all values are cumulative since
-     *  construction (rewind/reset never roll them back). */
+     *  construction (reset never rolls them back). */
     struct Stats
     {
         uint64_t allocations = 0; ///< alloc() calls served.
@@ -46,13 +45,6 @@ class Arena
         uint64_t reserved = 0;    ///< Capacity of all blocks.
         uint64_t blocks = 0;      ///< Blocks currently owned.
         uint64_t resets = 0;      ///< reset() calls.
-    };
-
-    /** A position to rewind() to; valid until the next reset(). */
-    struct Checkpoint
-    {
-        size_t block = 0;
-        size_t used = 0;
     };
 
     explicit Arena(size_t first_block_bytes = 64 * 1024);
@@ -78,22 +70,11 @@ class Arena
         return static_cast<T *>(alloc(n * sizeof(T), alignof(T)));
     }
 
-    /** @return the current position, for a later rewind(). */
-    Checkpoint checkpoint() const;
-
-    /**
-     * Roll the bump pointer back to @p cp; memory handed out after
-     * the checkpoint is reusable (and must no longer be referenced).
-     * Counters are cumulative and keep their values.
-     */
-    void rewind(const Checkpoint &cp);
-
     /**
      * Rewind to empty and coalesce: when more than one block exists,
      * all are released and replaced by a single block sized to the
      * total, so a steady-state owner reaches one block and then
-     * never touches the global heap again.  Invalidates outstanding
-     * checkpoints and bumps generation().
+     * never touches the global heap again.  Bumps generation().
      */
     void reset();
 
@@ -193,9 +174,8 @@ class ArenaStreamBuf : public std::streambuf
 
 /**
  * Minimal STL allocator over an Arena.  When bound to an arena,
- * deallocate is a no-op (the arena reclaims in bulk at
- * rewind/reset) and the container must not outlive the arena
- * position it was built at.  The default constructor captures the
+ * deallocate is a no-op (the arena reclaims in bulk at reset) and
+ * the container must not outlive the arena's next reset.  The default constructor captures the
  * calling thread's scratch binding (Arena::scratch()) at that
  * moment — or the global heap when none is bound — which is how
  * run-scoped simulator containers (ready queues, per-run scratch)

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -61,17 +62,24 @@ JsonWriter::number(double v)
     // JSON has no Inf/NaN literals; map them to null.
     if (!std::isfinite(v))
         return "null";
+    // The shortest %.*g form that round-trips.  std::to_chars' shortest
+    // scientific form has as few significant digits as any decimal that
+    // round-trips, so no smaller precision can; %.*g at that precision
+    // may still miss (it rounds to nearest, and just above a power of
+    // two the interval below v is half as wide), so search upward.
     char buf[40];
-    // Shortest representation that round-trips a double.
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    double parsed = 0;
-    for (int prec = 1; prec < 17; ++prec) {
-        char shorter[40];
-        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
-        std::sscanf(shorter, "%lf", &parsed);
-        if (parsed == v)
-            return shorter;
+    const char *end = std::to_chars(buf, buf + sizeof(buf), v,
+                                    std::chars_format::scientific)
+                          .ptr;
+    int prec = 0;
+    for (const char *c = buf; c != end && *c != 'e'; ++c)
+        prec += std::isdigit(static_cast<unsigned char>(*c)) ? 1 : 0;
+    for (; prec < 17; ++prec) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            return buf;
     }
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
 }
 
@@ -488,6 +496,13 @@ class JsonParser
         JsonValue out;
         out.kind = JsonValue::Kind::Number;
         out.num = v;
+        uint64_t exact = 0;
+        if (lit.find_first_not_of("0123456789") == std::string::npos
+            && std::from_chars(lit.data(), lit.data() + lit.size(),
+                               exact)
+                       .ec
+                == std::errc())
+            out.exact_uint = exact;
         return out;
     }
 

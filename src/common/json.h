@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -112,6 +113,11 @@ struct JsonValue
     Kind kind = Kind::Null;
     bool boolean = false;
     double num = 0;
+
+    /** The exact value of a plain unsigned integer literal (digits
+     *  only, below 2^64); `num` rounds integers above 2^53. */
+    std::optional<uint64_t> exact_uint;
+
     std::string str;
     std::vector<JsonValue> items; ///< Array elements.
     std::vector<std::pair<std::string, JsonValue>> members;

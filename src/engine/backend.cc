@@ -3,6 +3,7 @@
 #include <functional>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace qsurf::engine {
@@ -75,6 +76,43 @@ Backend::prepare(const WorkItem &item) const
     fatalIf(item.config.code_distance < 0,
             "code distance must be >= 0 (0 = auto), got ",
             item.config.code_distance);
+}
+
+void
+writeRunConfig(JsonWriter &j, const RunConfig &c)
+{
+    j.beginObject();
+    j.key("tech");
+    j.beginObject();
+    j.field("p_physical", c.tech.p_physical);
+    j.field("t_two_qubit_ns", c.tech.t_two_qubit_ns);
+    j.field("single_qubit_speedup", c.tech.single_qubit_speedup);
+    j.field("t_measure_ns", c.tech.t_measure_ns);
+    j.endObject();
+    j.field("code_distance", c.code_distance);
+    j.field("policy", c.policy);
+    j.field("epr_window_steps", c.epr_window_steps);
+    j.field("epr_bandwidth", c.epr_bandwidth);
+    j.field("num_simd_regions", c.num_simd_regions);
+    j.field("region_capacity", c.region_capacity);
+    j.field("kq", c.kq);
+    j.field("fast_forward", c.fast_forward);
+    j.field("legacy_baseline", c.legacy_baseline);
+    j.field("magic_production_cycles", c.magic_production_cycles);
+    j.field("magic_buffer_capacity", c.magic_buffer_capacity);
+    j.field("adapt_timeout", c.adapt_timeout);
+    j.field("bfs_timeout", c.bfs_timeout);
+    j.field("drop_timeout", c.drop_timeout);
+    j.field("max_cycles", c.max_cycles);
+    j.field("hybrid_arbiter", c.hybrid_arbiter);
+    j.field("layout_objective", c.layout_objective);
+    j.field("lane_spacing", c.lane_spacing);
+    j.field("defect_density", c.defect_density);
+    j.field("defect_seed", c.defect_seed);
+    if (!c.defect_spec.empty())
+        j.field("defect_spec", c.defect_spec);
+    j.field("seed", c.seed);
+    j.endObject();
 }
 
 double

@@ -34,6 +34,10 @@
 #include "qec/code.h"
 #include "qec/technology.h"
 
+namespace qsurf {
+class JsonWriter;
+} // namespace qsurf
+
 namespace qsurf::obs {
 class TraceRecorder;
 } // namespace qsurf::obs
@@ -244,6 +248,16 @@ struct RunConfig
      */
     obs::TraceRecorder *trace = nullptr;
 };
+
+/**
+ * Write @p c as one JSON object (the caller emits any key): every
+ * field a result depends on, which is every field but `trace`.  The
+ * wire codec (CompileRequest and SweepGrid payloads) and the compile
+ * service's result-memo key both write a config through it, so a new
+ * field is added here once; the codec's reader (service/wire.cc)
+ * parses the same names back.
+ */
+void writeRunConfig(JsonWriter &j, const RunConfig &c);
 
 /** One unit of work handed to a backend. */
 struct WorkItem

@@ -1,11 +1,11 @@
 #include "service/service.h"
 
 #include <chrono>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "common/arena.h"
+#include "common/json.h"
 #include "common/logging.h"
 #include "engine/sweep.h"
 #include "service/artifact.h"
@@ -24,56 +24,36 @@ msSince(Clock::time_point start)
         .count();
 }
 
-/** @return the bit pattern of @p v: exact, unlike a decimal print. */
-uint64_t
-bitsOf(double v)
-{
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
-/**
- * The batch identity of a request: the program source, the backend,
- * and every RunConfig field any backend folds into its artifactKey()
- * — including the technology, which sets the resolved code distance,
- * and the fabric damage.  Two requests with equal keys are
- * guaranteed to resolve to the same prepared program and machine
- * artifact, so one prepare serves both.  (Fields outside the key —
- * timeouts, EPR windows — may still differ; each request keeps its
- * own run.)
- */
-std::string
-batchKey(const CompileRequest &req)
-{
-    const qec::Technology &tech = req.config.tech;
-    std::ostringstream os;
-    if (req.circuit)
-        os << "fp=" << std::hex << circuit::fingerprint(*req.circuit)
-           << std::dec;
-    else
-        os << "app=" << static_cast<int>(req.app)
-           << "/n=" << req.gen.problem_size
-           << "/it=" << req.gen.max_iterations;
-    os << "/rz=" << req.decompose.rz_sequence_length << "/tf="
-       << std::hex << bitsOf(req.decompose.rz_t_fraction) << std::dec
-       << "/sw=" << (req.decompose.expand_swap ? 1 : 0) << "/ph="
-       << (req.run_peephole ? 1 : 0) << "|" << req.backend << "|s="
-       << req.config.seed << "/d=" << req.config.code_distance
-       << "/p=" << req.config.policy << "/obj="
-       << req.config.layout_objective << "/lane="
-       << req.config.lane_spacing << "/r="
-       << req.config.num_simd_regions << "/cap="
-       << req.config.region_capacity << "/leg="
-       << (req.config.legacy_baseline ? 1 : 0) << "/tech=" << std::hex
-       << bitsOf(tech.p_physical) << "," << bitsOf(tech.t_two_qubit_ns)
-       << "," << bitsOf(tech.single_qubit_speedup) << ","
-       << bitsOf(tech.t_measure_ns) << std::dec
-       << engine::defectKeySuffix(req.config.defectParams());
-    return os.str();
-}
-
 } // namespace
+
+std::string
+resultKey(const CompileRequest &req)
+{
+    std::ostringstream os;
+    os << "result|";
+    JsonWriter j(os, /*compact=*/true);
+    j.beginObject();
+    if (req.circuit) {
+        j.field("fp", circuit::fingerprint(*req.circuit));
+    } else {
+        j.field("app", static_cast<int>(req.app));
+        j.field("n", req.gen.problem_size);
+        j.field("it", req.gen.max_iterations);
+    }
+    j.field("rz", req.decompose.rz_sequence_length);
+    j.field("tf", req.decompose.rz_t_fraction);
+    j.field("sw", req.decompose.expand_swap);
+    j.field("ph", req.run_peephole);
+    j.field("backend", req.backend);
+    j.key("config");
+    engine::writeRunConfig(j, req.config);
+    j.endObject();
+    std::string key = os.str();
+    // JSON writes every non-finite double as null, so a key holding
+    // one could alias two requests.  (A string that merely contains
+    // "null" only costs its request the memo.)
+    return key.find("null") == std::string::npos ? key : std::string();
+}
 
 CompileService::CompileService() : CompileService(Options{}) {}
 
@@ -107,7 +87,6 @@ std::future<CompileResponse>
 CompileService::submit(CompileRequest req)
 {
     Pending pending;
-    pending.key = batchKey(req);
     pending.req = std::move(req);
     pending.enqueued = Clock::now();
     std::future<CompileResponse> future =
@@ -140,8 +119,7 @@ CompileService::stats() const
     {
         std::lock_guard<std::mutex> lock(mutex);
         s.requests = total_requests;
-        s.batches = total_batches;
-        s.batched_requests = total_batched;
+        s.served = total_served;
     }
     s.cache = cache.stats();
     return s;
@@ -192,143 +170,115 @@ CompileService::workerLoop()
 {
     // One scratch arena per worker thread, living as long as the
     // thread: after warm-up it reaches a single coalesced block and
-    // batch execution stops touching the global heap.
+    // request execution stops touching the global heap.
     Arena arena;
     for (;;) {
-        std::vector<Pending> batch;
+        Pending pending;
         {
             std::unique_lock<std::mutex> lock(mutex);
             cv.wait(lock,
                     [this] { return stopping || !queue.empty(); });
             if (queue.empty())
                 return; // Stopping, queue drained.
-            batch.push_back(std::move(queue.front()));
+            pending = std::move(queue.front());
             queue.pop_front();
-            // Pull every queued request with the same prepare
-            // identity into this batch: one artifact fetch, N runs.
-            // The key is a copy: push_back below may reallocate.
-            const std::string key = batch.front().key;
-            for (auto it = queue.begin(); it != queue.end();) {
-                if (it->key == key) {
-                    batch.push_back(std::move(*it));
-                    it = queue.erase(it);
-                } else {
-                    ++it;
-                }
-            }
-            ++total_batches;
-            if (batch.size() > 1)
-                total_batched += batch.size();
+            ++total_served;
         }
-        serveBatch(std::move(batch), use_arena ? &arena : nullptr);
+        serve(pending, use_arena ? &arena : nullptr);
     }
 }
 
 void
-CompileService::serveBatch(std::vector<Pending> batch, Arena *arena)
+CompileService::serve(Pending &pending, Arena *arena)
 {
-    if (arena)
+    const CompileRequest &req = pending.req;
+    Arena::Stats arena_before;
+    if (arena) {
         arena->reset();
+        arena_before = arena->stats();
+    }
     Arena::Scope scope(arena);
-    // Prepare once for the whole batch (all entries share the batch
-    // key, hence the same program and machine artifact).
-    const engine::Backend *backend = nullptr;
-    std::shared_ptr<const CachedProgram> program;
-    std::shared_ptr<const engine::PreparedArtifact> artifact;
-    double prepare_ms = 0;
-    std::string prepare_error;
+    CompileResponse response;
     try {
-        const CompileRequest &req = batch.front().req;
-        backend = &registry.get(req.backend);
         auto start = Clock::now();
-        // The analytic models take a circuit too (to derive the
-        // computation size), so resolve the program unless the
-        // request brings an explicit KQ instead.
-        if (backend->needsCircuit() || req.config.kq <= 0)
-            program = req.circuit
-                ? cachedProgram(cache, *req.circuit, req.decompose,
-                                req.run_peephole)
-                : cachedAppProgram(cache, req.app, req.gen,
-                                   req.decompose, req.run_peephole);
-        engine::WorkItem probe;
-        probe.app = req.app;
-        probe.config = req.config;
-        if (program) {
-            probe.circuit = &program->circ;
-            probe.circuit_fingerprint = program->fingerprint;
+        // A trace must record a real run: no lookup, no store.
+        std::string key = req.config.trace ? std::string()
+                                           : resultKey(req);
+        if (key.empty()) {
+            response.metrics = execute(req, response);
+        } else {
+            bool ran = false;
+            PrepareCache::Value memo = cache.getOrBuild(key, [&] {
+                ran = true;
+                // On the heap, not in the worker arena: the memo
+                // outlives this request.
+                return std::static_pointer_cast<const void>(
+                    std::make_shared<const engine::Metrics>(
+                        execute(req, response)));
+            });
+            if (!ran)
+                response.prepare_ms = msSince(start);
+            response.metrics =
+                *std::static_pointer_cast<const engine::Metrics>(memo);
         }
-        artifact = fetchArtifact(cache, *backend, probe);
-        prepare_ms = msSince(start);
     } catch (const std::exception &e) {
-        prepare_error = e.what();
+        response.error = e.what();
     }
-    metrics.observe("service.batch.size",
-                    static_cast<double>(batch.size()));
-    metrics.observe("service.prepare_ms", prepare_ms);
+    if (arena) {
+        Arena::Stats after = arena->stats();
+        metrics.observe("service.arena.allocs",
+                        static_cast<double>(after.allocations
+                                            - arena_before.allocations));
+        metrics.observe(
+            "service.arena.bytes",
+            static_cast<double>(after.bytes - arena_before.bytes));
+    }
+    metrics.observe("service.prepare_ms", response.prepare_ms);
+    metrics.observe("service.run_ms", response.run_ms);
+    metrics.observe("service.request.latency_ms",
+                    msSince(pending.enqueued));
+    if (!response.ok())
+        metrics.inc("service.errors");
+    pending.promise.set_value(std::move(response));
+}
 
-    for (Pending &pending : batch) {
-        // Nested scope: the batch reset bounds the whole group, the
-        // per-request rewind recycles one request's scratch for the
-        // next without invalidating the shared prepare artifacts
-        // (those live in the cache, never in the arena).
-        Arena::Checkpoint cp;
-        Arena::Stats arena_before;
-        if (arena) {
-            cp = arena->checkpoint();
-            arena_before = arena->stats();
-        }
-        CompileResponse response;
-        response.prepare_ms = prepare_ms;
-        response.batch_size = batch.size();
-        if (!prepare_error.empty()) {
-            response.error = prepare_error;
-            metrics.observe("service.request.latency_ms",
-                            msSince(pending.enqueued));
-            metrics.inc("service.errors");
-            pending.promise.set_value(std::move(response));
-            continue;
-        }
-        try {
-            const CompileRequest &req = pending.req;
-            engine::WorkItem item;
-            item.app = req.app;
-            item.config = req.config;
-            if (program) {
-                item.circuit = &program->circ;
-                item.circuit_fingerprint = program->fingerprint;
-            }
-            if (!req.label.empty())
-                item.app_name = req.label;
-            else if (req.circuit && !req.circuit->name().empty())
-                item.app_name = req.circuit->name();
-            else
-                item.app_name = apps::appSpec(req.app).name;
-            backend->prepare(item);
-            auto start = Clock::now();
-            response.metrics = backend->run(item, artifact.get());
-            response.run_ms = msSince(start);
-        } catch (const std::exception &e) {
-            response.error = e.what();
-        }
-        if (arena) {
-            Arena::Stats after = arena->stats();
-            metrics.observe("service.arena.allocs",
-                            static_cast<double>(
-                                after.allocations
-                                - arena_before.allocations));
-            metrics.observe(
-                "service.arena.bytes",
-                static_cast<double>(after.bytes
-                                    - arena_before.bytes));
-            arena->rewind(cp);
-        }
-        metrics.observe("service.run_ms", response.run_ms);
-        metrics.observe("service.request.latency_ms",
-                        msSince(pending.enqueued));
-        if (!response.ok())
-            metrics.inc("service.errors");
-        pending.promise.set_value(std::move(response));
+engine::Metrics
+CompileService::execute(const CompileRequest &req,
+                        CompileResponse &response) const
+{
+    const engine::Backend &backend = registry.get(req.backend);
+    auto start = Clock::now();
+    // The analytic models take a circuit too (to derive the
+    // computation size), so resolve the program unless the request
+    // brings an explicit KQ instead.
+    std::shared_ptr<const CachedProgram> program;
+    if (backend.needsCircuit() || req.config.kq <= 0)
+        program = req.circuit
+            ? cachedProgram(cache, *req.circuit, req.decompose,
+                            req.run_peephole)
+            : cachedAppProgram(cache, req.app, req.gen, req.decompose,
+                               req.run_peephole);
+    engine::WorkItem item;
+    item.app = req.app;
+    item.config = req.config;
+    if (program) {
+        item.circuit = &program->circ;
+        item.circuit_fingerprint = program->fingerprint;
     }
+    if (!req.label.empty())
+        item.app_name = req.label;
+    else if (req.circuit && !req.circuit->name().empty())
+        item.app_name = req.circuit->name();
+    else
+        item.app_name = apps::appSpec(req.app).name;
+    backend.prepare(item);
+    std::shared_ptr<const engine::PreparedArtifact> artifact =
+        fetchArtifact(cache, backend, item);
+    response.prepare_ms = msSince(start);
+    start = Clock::now();
+    engine::Metrics m = backend.run(item, artifact.get());
+    response.run_ms = msSince(start);
+    return m;
 }
 
 } // namespace qsurf::service

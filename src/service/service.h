@@ -5,12 +5,13 @@
  * Instead of paying circuit generation, decomposition and seeded
  * layout construction per call (the batch-tool model every figure
  * bench historically followed), a service accepts a stream of
- * CompileRequests, keeps the shared PrepareCache warm across them,
- * and batches queued requests that share a prepare identity so one
- * artifact fetch serves the whole group.  Every request returns the
- * same uniform engine::Metrics a direct Backend::run() produces —
- * bit-identical, since the cached artifact path is bit-identical by
- * construction.
+ * CompileRequests and keeps the shared PrepareCache warm across
+ * them.  The same cache memoizes each result: a repeated request is
+ * answered from its result key without running the backend again.
+ * Every request returns the same uniform engine::Metrics a direct
+ * Backend::run() produces — bit-identical, since backends are
+ * deterministic in the request and the cached artifact path is
+ * bit-identical by construction.
  */
 
 #ifndef QSURF_SERVICE_SERVICE_H
@@ -78,15 +79,17 @@ struct CompileResponse
     /** Uniform result record; valid when ok(). */
     engine::Metrics metrics;
 
-    /** Wall time of the prepare stage (program + machine artifact)
-     *  this request's batch paid, in ms.  Warm requests see the
-     *  cache-hit cost, not the build cost. */
+    /** Wall time of the prepare stage (program + machine artifact),
+     *  in ms.  Warm requests see the cache-hit cost, not the build
+     *  cost; a result-memo hit reports its lookup time. */
     double prepare_ms = 0;
 
-    /** Wall time of Backend::run() for this request, in ms. */
+    /** Wall time of Backend::run() for this request, in ms; 0 for a
+     *  result-memo hit, which runs no backend. */
     double run_ms = 0;
 
-    /** Requests served by the batch that prepared this response. */
+    /** Always 1; kept so the wire protocol's Response frames are
+     *  unchanged now that requests are not batched. */
     uint64_t batch_size = 1;
 
     /** Failure description; empty on success. */
@@ -98,18 +101,34 @@ struct CompileResponse
 /** Counter snapshot of one CompileService. */
 struct ServiceStats
 {
-    uint64_t requests = 0;         ///< Requests submitted.
-    uint64_t batches = 0;          ///< Prepare groups executed.
-    uint64_t batched_requests = 0; ///< Requests in groups of >= 2.
-    CacheStats cache;              ///< The shared cache's counters.
+    uint64_t requests = 0; ///< Requests submitted.
+    uint64_t served = 0;   ///< Requests a worker has taken up.
+    CacheStats cache;      ///< The shared cache's counters.
 };
+
+/**
+ * @return the result-memo key of @p req: the program identity (app
+ * and generator knobs, or the caller circuit's fingerprint), the
+ * decompose and peephole settings, the backend name and every
+ * RunConfig field but `trace` (engine::writeRunConfig).  The label is
+ * left out: no backend reads the display name.  "" when the request
+ * holds a non-finite number, which JSON cannot carry exactly; such a
+ * request is not memoized.
+ */
+std::string resultKey(const CompileRequest &req);
 
 /**
  * The in-process compile server.  submit() is thread-safe; worker
  * threads drain the queue until destruction (the destructor finishes
  * queued work before joining).  Responses are deterministic in the
- * request alone — batching and caching change wall time, never
- * metrics.
+ * request alone — caching changes wall time, never metrics.
+ *
+ * Results are memoized in the cache under resultKey(), through
+ * PrepareCache::getOrBuild: the memo is LRU-bounded with the rest of
+ * the cache, concurrent identical requests run the backend once, and
+ * every lookup shows in the cache's hit/miss counters.  A request
+ * that fails is never stored.  A traced request (config.trace set)
+ * bypasses the memo, so its trace records a real run.
  */
 class CompileService
 {
@@ -131,11 +150,10 @@ class CompileService
         obs::MetricsRegistry *metrics = nullptr;
 
         /**
-         * Bind a per-worker scratch arena around request execution:
-         * reset per batch, checkpoint/rewound between the batch's
-         * requests, so steady-state request scratch (BFS working
-         * sets and friends) never touches the global heap.  Results
-         * are bit-identical on or off; the per-request arena
+         * Bind a per-worker scratch arena around request execution,
+         * reset per request, so steady-state request scratch (BFS
+         * working sets and friends) never touches the global heap.
+         * Results are bit-identical on or off; the per-request arena
          * activity feeds the "service.arena.*" histograms.
          */
         bool use_arena = true;
@@ -150,8 +168,7 @@ class CompileService
 
     /**
      * Enqueue @p req; the future resolves when a worker finishes it.
-     * Requests already queued that share the prepare identity are
-     * served as one batch.  Must not be called during destruction.
+     * Must not be called during destruction.
      */
     std::future<CompileResponse> submit(CompileRequest req);
 
@@ -187,13 +204,17 @@ class CompileService
     struct Pending
     {
         CompileRequest req;
-        std::string key; ///< Batch identity, fixed at submit.
         std::promise<CompileResponse> promise;
         std::chrono::steady_clock::time_point enqueued;
     };
 
     void workerLoop();
-    void serveBatch(std::vector<Pending> batch, Arena *arena);
+    void serve(Pending &pending, Arena *arena);
+
+    /** Prepare and run @p req on its backend, recording the two
+     *  stage times in @p response. */
+    engine::Metrics execute(const CompileRequest &req,
+                            CompileResponse &response) const;
 
     PrepareCache &cache;
     const engine::Registry &registry;
@@ -205,8 +226,7 @@ class CompileService
     std::deque<Pending> queue;
     bool stopping = false;
     uint64_t total_requests = 0;
-    uint64_t total_batches = 0;
-    uint64_t total_batched = 0;
+    uint64_t total_served = 0;
 
     std::vector<std::thread> workers;
 };

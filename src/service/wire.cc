@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -186,6 +188,43 @@ num(const JsonValue &obj, const std::string &key, double fallback)
     return v->num;
 }
 
+/** @return @p v as an int; fatal()s on a fractional or out-of-range
+ *  value (@p what names it) instead of casting it. */
+int
+toInt(const JsonValue &v, const std::string &what)
+{
+    fatalIf(!v.isNumber(), "wire field '", what, "' is not a number");
+    if (!(std::trunc(v.num) == v.num
+          && v.num >= std::numeric_limits<int>::min()
+          && v.num <= std::numeric_limits<int>::max()))
+        fatal("wire field '", what, "' is not an int: ", v.num);
+    return static_cast<int>(v.num);
+}
+
+int
+integer(const JsonValue &obj, const std::string &key, int fallback)
+{
+    const JsonValue *v = obj.find(key);
+    return v ? toInt(*v, key) : fallback;
+}
+
+/** @return unsigned 64-bit field @p key exactly (seeds, cycle
+ *  counts), or @p fallback when absent.  fatal()s unless it is a
+ *  plain integer literal in [0, 2^64): a negative, fractional or
+ *  out-of-range value, or one only a double carries (above 2^53 it
+ *  has already lost bits), is never cast. */
+uint64_t
+count(const JsonValue &obj, const std::string &key, uint64_t fallback)
+{
+    const JsonValue *v = obj.find(key);
+    if (!v)
+        return fallback;
+    if (!v->exact_uint)
+        fatal("wire field '", key,
+              "' is not an unsigned 64-bit integer literal");
+    return *v->exact_uint;
+}
+
 bool
 flag(const JsonValue &obj, const std::string &key, bool fallback)
 {
@@ -208,47 +247,8 @@ text(const JsonValue &obj, const std::string &key,
     return v->str;
 }
 
-/** Write @p c as a JSON object (shared by CompileRequest and
- *  SweepGrid payloads; the caller emits the key). */
-void
-writeRunConfig(JsonWriter &j, const engine::RunConfig &c)
-{
-    j.beginObject();
-    j.key("tech");
-    j.beginObject();
-    j.field("p_physical", c.tech.p_physical);
-    j.field("t_two_qubit_ns", c.tech.t_two_qubit_ns);
-    j.field("single_qubit_speedup", c.tech.single_qubit_speedup);
-    j.field("t_measure_ns", c.tech.t_measure_ns);
-    j.endObject();
-    j.field("code_distance", c.code_distance);
-    j.field("policy", c.policy);
-    j.field("epr_window_steps", c.epr_window_steps);
-    j.field("epr_bandwidth", c.epr_bandwidth);
-    j.field("num_simd_regions", c.num_simd_regions);
-    j.field("region_capacity", c.region_capacity);
-    j.field("kq", c.kq);
-    j.field("fast_forward", c.fast_forward);
-    j.field("legacy_baseline", c.legacy_baseline);
-    j.field("magic_production_cycles", c.magic_production_cycles);
-    j.field("magic_buffer_capacity", c.magic_buffer_capacity);
-    j.field("adapt_timeout", c.adapt_timeout);
-    j.field("bfs_timeout", c.bfs_timeout);
-    j.field("drop_timeout", c.drop_timeout);
-    j.field("max_cycles", c.max_cycles);
-    j.field("hybrid_arbiter", c.hybrid_arbiter);
-    j.field("layout_objective", c.layout_objective);
-    j.field("lane_spacing", c.lane_spacing);
-    j.field("defect_density", c.defect_density);
-    j.field("defect_seed", c.defect_seed);
-    if (!c.defect_spec.empty())
-        j.field("defect_spec", c.defect_spec);
-    j.field("seed", c.seed);
-    j.endObject();
-}
-
-/** Parse a writeRunConfig object into @p c (absent fields keep
- *  their current values). */
+/** Parse an engine::writeRunConfig object into @p c (absent fields
+ *  keep their current values). */
 void
 readRunConfig(const JsonValue &cfg, engine::RunConfig &c)
 {
@@ -265,49 +265,37 @@ readRunConfig(const JsonValue &cfg, engine::RunConfig &c)
         c.tech.t_measure_ns =
             num(*tech, "t_measure_ns", c.tech.t_measure_ns);
     }
-    c.code_distance = static_cast<int>(
-        num(cfg, "code_distance", c.code_distance));
-    c.policy = static_cast<int>(num(cfg, "policy", c.policy));
-    c.epr_window_steps = static_cast<int>(
-        num(cfg, "epr_window_steps", c.epr_window_steps));
-    c.epr_bandwidth = static_cast<int>(
-        num(cfg, "epr_bandwidth", c.epr_bandwidth));
-    c.num_simd_regions = static_cast<int>(
-        num(cfg, "num_simd_regions", c.num_simd_regions));
-    c.region_capacity = static_cast<int>(
-        num(cfg, "region_capacity", c.region_capacity));
+    c.code_distance = integer(cfg, "code_distance", c.code_distance);
+    c.policy = integer(cfg, "policy", c.policy);
+    c.epr_window_steps =
+        integer(cfg, "epr_window_steps", c.epr_window_steps);
+    c.epr_bandwidth = integer(cfg, "epr_bandwidth", c.epr_bandwidth);
+    c.num_simd_regions =
+        integer(cfg, "num_simd_regions", c.num_simd_regions);
+    c.region_capacity =
+        integer(cfg, "region_capacity", c.region_capacity);
     c.kq = num(cfg, "kq", c.kq);
     c.fast_forward = flag(cfg, "fast_forward", c.fast_forward);
     c.legacy_baseline =
         flag(cfg, "legacy_baseline", c.legacy_baseline);
-    c.magic_production_cycles =
-        static_cast<int>(num(cfg, "magic_production_cycles",
-                             c.magic_production_cycles));
-    c.magic_buffer_capacity =
-        static_cast<int>(num(cfg, "magic_buffer_capacity",
-                             c.magic_buffer_capacity));
-    c.adapt_timeout = static_cast<int>(
-        num(cfg, "adapt_timeout", c.adapt_timeout));
-    c.bfs_timeout =
-        static_cast<int>(num(cfg, "bfs_timeout", c.bfs_timeout));
-    c.drop_timeout =
-        static_cast<int>(num(cfg, "drop_timeout", c.drop_timeout));
-    c.max_cycles = static_cast<uint64_t>(
-        num(cfg, "max_cycles", static_cast<double>(c.max_cycles)));
-    c.hybrid_arbiter = static_cast<int>(
-        num(cfg, "hybrid_arbiter", c.hybrid_arbiter));
-    c.layout_objective = static_cast<int>(
-        num(cfg, "layout_objective", c.layout_objective));
-    c.lane_spacing = static_cast<int>(
-        num(cfg, "lane_spacing", c.lane_spacing));
+    c.magic_production_cycles = integer(
+        cfg, "magic_production_cycles", c.magic_production_cycles);
+    c.magic_buffer_capacity = integer(cfg, "magic_buffer_capacity",
+                                      c.magic_buffer_capacity);
+    c.adapt_timeout = integer(cfg, "adapt_timeout", c.adapt_timeout);
+    c.bfs_timeout = integer(cfg, "bfs_timeout", c.bfs_timeout);
+    c.drop_timeout = integer(cfg, "drop_timeout", c.drop_timeout);
+    c.max_cycles = count(cfg, "max_cycles", c.max_cycles);
+    c.hybrid_arbiter =
+        integer(cfg, "hybrid_arbiter", c.hybrid_arbiter);
+    c.layout_objective =
+        integer(cfg, "layout_objective", c.layout_objective);
+    c.lane_spacing = integer(cfg, "lane_spacing", c.lane_spacing);
     c.defect_density =
         num(cfg, "defect_density", c.defect_density);
-    c.defect_seed = static_cast<uint64_t>(
-        num(cfg, "defect_seed",
-            static_cast<double>(c.defect_seed)));
+    c.defect_seed = count(cfg, "defect_seed", c.defect_seed);
     c.defect_spec = text(cfg, "defect_spec", c.defect_spec);
-    c.seed = static_cast<uint64_t>(
-        num(cfg, "seed", static_cast<double>(c.seed)));
+    c.seed = count(cfg, "seed", c.seed);
 }
 
 } // namespace
@@ -418,26 +406,6 @@ decodeFrame(const char *data, size_t len, Frame &out,
     return DecodeStatus::Ok;
 }
 
-const char *
-ioStatusName(IoStatus status)
-{
-    switch (status) {
-      case IoStatus::Ok:
-        return "ok";
-      case IoStatus::Eof:
-        return "eof";
-      case IoStatus::PeerGone:
-        return "peer-gone";
-      case IoStatus::Truncated:
-        return "truncated";
-      case IoStatus::Corrupt:
-        return "corrupt";
-      case IoStatus::SysError:
-        return "sys-error";
-    }
-    return "unknown";
-}
-
 std::string
 IoResult::describe() const
 {
@@ -544,7 +512,7 @@ encodeCompileRequest(const CompileRequest &req)
     j.field("label", req.label);
     j.field("backend", req.backend);
     j.key("config");
-    writeRunConfig(j, req.config);
+    engine::writeRunConfig(j, req.config);
     j.endObject();
     return os.str();
 }
@@ -558,16 +526,16 @@ decodeCompileRequest(const std::string &json)
     req.app = parseAppKind(text(doc, "app", "SQ"));
     if (const JsonValue *gen = doc.find("gen")) {
         fatalIf(!gen->isObject(), "wire 'gen' is not an object");
-        req.gen.problem_size = static_cast<int>(
-            num(*gen, "problem_size", req.gen.problem_size));
-        req.gen.max_iterations = static_cast<int>(
-            num(*gen, "max_iterations", req.gen.max_iterations));
+        req.gen.problem_size =
+            integer(*gen, "problem_size", req.gen.problem_size);
+        req.gen.max_iterations =
+            integer(*gen, "max_iterations", req.gen.max_iterations);
     }
     if (const JsonValue *d = doc.find("decompose")) {
         fatalIf(!d->isObject(), "wire 'decompose' is not an object");
         req.decompose.rz_sequence_length =
-            static_cast<int>(num(*d, "rz_sequence_length",
-                                 req.decompose.rz_sequence_length));
+            integer(*d, "rz_sequence_length",
+                    req.decompose.rz_sequence_length);
         req.decompose.rz_t_fraction =
             num(*d, "rz_t_fraction", req.decompose.rz_t_fraction);
         req.decompose.expand_swap =
@@ -631,7 +599,7 @@ encodeSweepGrid(const engine::SweepGrid &grid)
         j.value(v);
     j.endArray();
     j.key("base");
-    writeRunConfig(j, grid.base);
+    engine::writeRunConfig(j, grid.base);
     j.endObject();
     return os.str();
 }
@@ -650,10 +618,10 @@ decodeSweepGrid(const std::string &json)
         fatalIf(!a.isObject(), "wire grid app is not an object");
         engine::AppPoint point;
         point.kind = parseAppKind(text(a, "app", "SQ"));
-        point.gen.problem_size = static_cast<int>(
-            num(a, "problem_size", point.gen.problem_size));
-        point.gen.max_iterations = static_cast<int>(
-            num(a, "max_iterations", point.gen.max_iterations));
+        point.gen.problem_size =
+            integer(a, "problem_size", point.gen.problem_size);
+        point.gen.max_iterations =
+            integer(a, "max_iterations", point.gen.max_iterations);
         point.label = text(a, "label");
         grid.apps.push_back(std::move(point));
     }
@@ -672,11 +640,8 @@ decodeSweepGrid(const std::string &json)
         fatalIf(!v->isArray(), "wire grid '", name,
                 "' is not an array");
         out.clear();
-        for (const JsonValue &e : v->items) {
-            fatalIf(!e.isNumber(), "wire grid '", name,
-                    "' element is not a number");
-            out.push_back(static_cast<int>(e.num));
-        }
+        for (const JsonValue &e : v->items)
+            out.push_back(toInt(e, name));
     };
     int_axis("policies", grid.policies);
     int_axis("arbiters", grid.arbiters);
@@ -747,19 +712,16 @@ decodeCompileResponse(const std::string &json)
     resp.error = text(doc, "error");
     resp.prepare_ms = num(doc, "prepare_ms", 0);
     resp.run_ms = num(doc, "run_ms", 0);
-    resp.batch_size =
-        static_cast<uint64_t>(num(doc, "batch_size", 1));
+    resp.batch_size = count(doc, "batch_size", 1);
     if (const JsonValue *m = doc.find("metrics")) {
         fatalIf(!m->isObject(), "wire 'metrics' is not an object");
         resp.metrics.backend = text(*m, "backend");
         resp.metrics.code = parseCodeKind(
             text(*m, "code", qec::codeKindName(resp.metrics.code)));
-        resp.metrics.code_distance = static_cast<int>(
-            num(*m, "code_distance", 0));
-        resp.metrics.schedule_cycles = static_cast<uint64_t>(
-            num(*m, "schedule_cycles", 0));
-        resp.metrics.critical_path_cycles = static_cast<uint64_t>(
-            num(*m, "critical_path_cycles", 0));
+        resp.metrics.code_distance = integer(*m, "code_distance", 0);
+        resp.metrics.schedule_cycles = count(*m, "schedule_cycles", 0);
+        resp.metrics.critical_path_cycles =
+            count(*m, "critical_path_cycles", 0);
         resp.metrics.physical_qubits =
             num(*m, "physical_qubits", 0);
         resp.metrics.seconds = num(*m, "seconds", 0);
@@ -798,8 +760,10 @@ telemetryPayload(const CompileService &service)
     JsonWriter j(os, /*compact=*/true);
     j.beginObject();
     j.field("requests", s.requests);
-    j.field("batches", s.batches);
-    j.field("batched_requests", s.batched_requests);
+    // Each request is its own batch; the two fields stay for
+    // protocol compatibility.
+    j.field("batches", s.served);
+    j.field("batched_requests", 0);
     j.field("threads", service.threads());
     j.key("cache");
     j.beginObject();

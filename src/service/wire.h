@@ -122,9 +122,6 @@ enum class IoStatus
     SysError,  ///< Any other read/write errno.
 };
 
-/** @return a human-readable I/O-status name. */
-const char *ioStatusName(IoStatus status);
-
 /** One frame-I/O outcome: a status plus its diagnosis detail. */
 struct IoResult
 {

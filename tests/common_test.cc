@@ -1,9 +1,9 @@
 /**
  * @file
  * Unit tests for the common substrate: logging contract, RNG
- * determinism and distribution bounds, geometry, statistics
- * accumulators, table rendering, and the scratch arena
- * (alignment, checkpoint/rewind, reset coalescing, counters, the
+ * determinism and distribution bounds, geometry, table rendering,
+ * and the scratch arena
+ * (alignment, reset coalescing, counters, the
  * thread-local scope binding and the STL allocator over it).
  */
 
@@ -23,7 +23,6 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/small_vector.h"
-#include "common/stats.h"
 #include "common/table.h"
 
 namespace qsurf {
@@ -136,22 +135,6 @@ TEST(Arena, AlignsEveryAllocation)
     }
     // Size 0 still returns a valid (distinct-use) pointer.
     EXPECT_NE(arena.alloc(0), nullptr);
-}
-
-TEST(Arena, CheckpointRewindReusesMemory)
-{
-    Arena arena(1024);
-    Arena::Checkpoint cp = arena.checkpoint();
-    void *first = arena.alloc(64);
-    arena.rewind(cp);
-    void *again = arena.alloc(64);
-    // Same position after rewind => the bytes were reused.
-    EXPECT_EQ(first, again);
-
-    // Counters are cumulative: rewind never rolls them back.
-    Arena::Stats s = arena.stats();
-    EXPECT_EQ(s.allocations, 2u);
-    EXPECT_GE(s.bytes, 128u);
 }
 
 TEST(Arena, ResetCoalescesToOneBlockAndBumpsGeneration)
@@ -267,68 +250,6 @@ TEST(Geometry, CoordOrderingAndHash)
     EXPECT_EQ((Coord{3, 4}), (Coord{3, 4}));
     std::hash<Coord> h;
     EXPECT_NE(h(Coord{1, 2}), h(Coord{2, 1}));
-}
-
-TEST(Accumulator, BasicMoments)
-{
-    Accumulator acc;
-    for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        acc.add(x);
-    EXPECT_EQ(acc.count(), 8u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(acc.min(), 2.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 9.0);
-    EXPECT_NEAR(acc.stddev(), std::sqrt(32.0 / 7.0), 1e-12);
-}
-
-TEST(Accumulator, EmptyIsSafe)
-{
-    Accumulator acc;
-    EXPECT_EQ(acc.count(), 0u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(acc.variance(), 0.0);
-}
-
-TEST(Accumulator, MergeMatchesSequential)
-{
-    Accumulator all, left, right;
-    for (int i = 0; i < 50; ++i) {
-        double x = 0.3 * i - 2;
-        all.add(x);
-        (i < 20 ? left : right).add(x);
-    }
-    left.merge(right);
-    EXPECT_EQ(left.count(), all.count());
-    EXPECT_NEAR(left.mean(), all.mean(), 1e-9);
-    EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-    EXPECT_DOUBLE_EQ(left.min(), all.min());
-    EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(Histogram, CountsAndQuantiles)
-{
-    Histogram h(0, 10, 10);
-    for (int i = 0; i < 100; ++i)
-        h.add(i % 10 + 0.5);
-    EXPECT_EQ(h.count(), 100u);
-    for (int b = 0; b < 10; ++b)
-        EXPECT_EQ(h.binCount(b), 10u);
-    EXPECT_NEAR(h.quantile(0.5), 4.0, 1.01);
-}
-
-TEST(Histogram, SaturatingEdges)
-{
-    Histogram h(0, 1, 4);
-    h.add(-100);
-    h.add(100);
-    EXPECT_EQ(h.binCount(0), 1u);
-    EXPECT_EQ(h.binCount(3), 1u);
-}
-
-TEST(Histogram, RejectsEmptyRange)
-{
-    EXPECT_THROW(Histogram(1, 1, 4), FatalError);
-    EXPECT_THROW(Histogram(0, 1, 0), FatalError);
 }
 
 TEST(Table, AlignedOutputContainsCells)

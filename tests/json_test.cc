@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
 #include <sstream>
+#include <vector>
 
 #include "common/json.h"
 #include "common/logging.h"
@@ -70,6 +75,64 @@ TEST(Json, NumbersRoundTrip)
     }
 }
 
+/** The former JsonWriter::number, the oracle of the one below: try
+ *  every precision from 1 up until one round-trips. */
+std::string
+searchedNumber(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    double parsed = 0;
+    for (int prec = 1; prec < 17; ++prec) {
+        char shorter[40];
+        std::snprintf(shorter, sizeof(shorter), "%.*g", prec, v);
+        std::sscanf(shorter, "%lf", &parsed);
+        if (parsed == v)
+            return shorter;
+    }
+    return buf;
+}
+
+TEST(Json, NumbersMatchThePrecisionSearchByteForByte)
+{
+    using limits = std::numeric_limits<double>;
+    std::vector<double> values = {
+        0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 1e23, 5e-324, 1e308,
+        limits::max(), -limits::max(), limits::min(),
+        limits::denorm_min(), limits::epsilon(),
+        9007199254740993.0, 0.30000000000000004, 2.0 / 3.0};
+    std::mt19937_64 rng(20171017);
+    for (int i = 0; i < 40000; ++i) {
+        // Any bit pattern: subnormals and every exponent.
+        uint64_t bits = rng();
+        double v = 0;
+        std::memcpy(&v, &bits, sizeof(v));
+        if (std::isfinite(v))
+            values.push_back(v);
+        // Integers, short decimals and powers of two, both signs.
+        double sign = (bits & 1) ? -1.0 : 1.0;
+        values.push_back(sign * static_cast<double>(rng() >> (rng() % 64)));
+        values.push_back(sign * static_cast<double>(rng() % 100000)
+                         / std::pow(10.0, static_cast<double>(rng() % 9)));
+        values.push_back(sign * std::ldexp(1.0, static_cast<int>(
+                                                    rng() % 2098) - 1074));
+        // Neighbours of a power of two, where the interval below is
+        // half as wide.
+        values.push_back(std::nextafter(values.back(), 0.0));
+    }
+    ASSERT_GT(values.size(), 200000u);
+    size_t mismatches = 0;
+    for (double v : values) {
+        std::string fast = JsonWriter::number(v);
+        std::string oracle = searchedNumber(v);
+        if (fast != oracle && ++mismatches <= 5)
+            ADD_FAILURE() << fast << " != " << oracle;
+    }
+    EXPECT_EQ(mismatches, 0u);
+}
+
 TEST(Json, NonFiniteNumbersBecomeNull)
 {
     EXPECT_EQ(JsonWriter::number(
@@ -116,6 +179,22 @@ TEST(JsonParser, Values)
     EXPECT_DOUBLE_EQ(v.find("a")->items[2].num, 3.0);
     EXPECT_DOUBLE_EQ(v.find("o")->find("k")->num, 100.0);
     EXPECT_EQ(v.find("missing"), nullptr);
+}
+
+TEST(JsonParser, PlainUnsignedIntegersKeepTheirExactValue)
+{
+    JsonValue v = parseJson(
+        "[9007199254740993, 18446744073709551615, 0, "
+        "18446744073709551616, -1, 1.0, 1e3, 7]");
+    ASSERT_EQ(v.items.size(), 8u);
+    EXPECT_EQ(v.items[0].exact_uint, uint64_t{9007199254740993ull});
+    EXPECT_EQ(v.items[0].num, 9007199254740992.0); // The double rounds.
+    EXPECT_EQ(v.items[1].exact_uint,
+              std::numeric_limits<uint64_t>::max());
+    EXPECT_EQ(v.items[2].exact_uint, uint64_t{0});
+    for (size_t i : {3, 4, 5, 6})
+        EXPECT_FALSE(v.items[i].exact_uint) << i;
+    EXPECT_EQ(v.items[7].exact_uint, uint64_t{7});
 }
 
 TEST(JsonParser, EmptyContainers)

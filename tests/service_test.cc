@@ -13,6 +13,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -26,6 +28,7 @@
 #include "circuit/decompose.h"
 #include "common/logging.h"
 #include "engine/sweep.h"
+#include "obs/trace.h"
 #include "service/artifact.h"
 #include "service/cache.h"
 #include "service/service.h"
@@ -417,48 +420,137 @@ TEST(CompileService, ServesModelBackendsFromTheCachedProgram)
     EXPECT_GT(r.metrics.schedule_cycles, 0u);
 }
 
-TEST(CompileService, BatchesQueuedDuplicates)
+/** Forwards to a registered backend and counts its runs. */
+class CountingBackend : public engine::Backend
 {
-    service::PrepareCache cache;
-    service::CompileService::Options opts;
-    opts.num_threads = 1; // One worker => duplicates stay queued.
-    opts.cache = &cache;
-    service::CompileService svc(opts);
+  public:
+    CountingBackend(const std::string &name, std::atomic<int> &runs)
+        : inner(engine::Registry::global().get(name)), runs(runs)
+    {
+    }
 
-    // Occupy the worker with a slow request, then queue duplicates
-    // behind it; they are served as one batch.
-    service::CompileRequest slow;
-    slow.app = apps::AppKind::IsingSemi;
-    slow.gen = {16, 4};
-    slow.backend = engine::backends::surgery_sim;
-    slow.config.code_distance = 3;
-    auto blocker = svc.submit(slow);
+    std::string name() const override { return inner.name(); }
+    qec::CodeKind code() const override { return inner.code(); }
+    bool needsCircuit() const override { return inner.needsCircuit(); }
 
+    void
+    prepare(const engine::WorkItem &item) const override
+    {
+        inner.prepare(item);
+    }
+
+    engine::Metrics
+    run(const engine::WorkItem &item) const override
+    {
+        return run(item, nullptr);
+    }
+
+    std::string
+    artifactKey(const engine::WorkItem &item) const override
+    {
+        return inner.artifactKey(item);
+    }
+
+    std::shared_ptr<const engine::PreparedArtifact>
+    buildArtifact(const engine::WorkItem &item) const override
+    {
+        return inner.buildArtifact(item);
+    }
+
+    engine::Metrics
+    run(const engine::WorkItem &item,
+        const engine::PreparedArtifact *artifact) const override
+    {
+        runs.fetch_add(1);
+        return inner.run(item, artifact);
+    }
+
+  private:
+    const engine::Backend &inner;
+    std::atomic<int> &runs;
+};
+
+TEST(CompileService, ConcurrentDuplicatesRunTheBackendOnce)
+{
     service::CompileRequest dup;
     dup.app = apps::AppKind::SQ;
     dup.gen = {8, 1};
     dup.backend = engine::backends::surgery_sim;
     dup.config.code_distance = 3;
-    std::vector<std::future<service::CompileResponse>> futures;
-    for (int i = 0; i < 3; ++i)
-        futures.push_back(svc.submit(dup));
 
-    ASSERT_TRUE(blocker.get().ok());
-    std::vector<service::CompileResponse> responses;
-    for (auto &f : futures)
-        responses.push_back(f.get());
-    for (const service::CompileResponse &r : responses) {
-        ASSERT_TRUE(r.ok()) << r.error;
-        EXPECT_TRUE(
-            sameMetrics(r.metrics, responses[0].metrics));
-        EXPECT_GE(r.batch_size, 1u);
+    for (int threads : {1, 2, 8}) {
+        std::atomic<int> runs{0};
+        engine::Registry registry;
+        registry.add(std::make_unique<CountingBackend>(dup.backend, runs));
+        service::PrepareCache cache;
+        // Warm the program and machine artifact, so the result is
+        // the only entry the requests below can miss.
+        service::CompileRequest traced = dup;
+        obs::TraceRecorder recorder;
+        traced.config.trace = &recorder;
+        service::CompileService::Options opts;
+        opts.num_threads = threads;
+        opts.cache = &cache;
+        opts.registry = &registry;
+        service::CompileService svc(opts);
+        ASSERT_TRUE(svc.compile(traced).ok());
+        ASSERT_EQ(runs.load(), 1);
+        CacheStats before = cache.stats();
+
+        constexpr int copies = 8;
+        std::vector<std::future<service::CompileResponse>> futures;
+        for (int i = 0; i < copies; ++i)
+            futures.push_back(svc.submit(dup));
+        std::vector<service::CompileResponse> responses;
+        for (auto &f : futures)
+            responses.push_back(f.get());
+
+        EXPECT_EQ(runs.load(), 2) << threads << " threads";
+        CacheStats after = cache.stats();
+        EXPECT_EQ(after.misses, before.misses + 1)
+            << threads << " threads";
+        // The other copies hit the result; the one run hit the
+        // program and the artifact.
+        EXPECT_EQ(after.hits, before.hits + (copies - 1) + 2)
+            << threads << " threads";
+        for (const service::CompileResponse &r : responses) {
+            ASSERT_TRUE(r.ok()) << r.error;
+            EXPECT_TRUE(sameMetrics(r.metrics, responses[0].metrics));
+            EXPECT_EQ(r.batch_size, 1u);
+        }
+        service::ServiceStats stats = svc.stats();
+        EXPECT_EQ(stats.requests, copies + 1u);
+        EXPECT_EQ(stats.served, copies + 1u);
     }
-    service::ServiceStats stats = svc.stats();
-    EXPECT_EQ(stats.requests, 4u);
-    EXPECT_LE(stats.batches, 4u);
 }
 
-TEST(CompileService, BatchKeySeparatesDamagedFabrics)
+TEST(CompileService, MemoHitSkipsTheRunAndMatchesIt)
+{
+    service::PrepareCache cache;
+    service::CompileService::Options opts;
+    opts.num_threads = 1;
+    opts.cache = &cache;
+    service::CompileService svc(opts);
+
+    service::CompileRequest req;
+    req.app = apps::AppKind::SQ;
+    req.gen = {8, 2};
+    req.backend = engine::backends::double_defect;
+    req.config.code_distance = 5;
+    service::CompileResponse cold = svc.compile(req);
+    ASSERT_TRUE(cold.ok()) << cold.error;
+    EXPECT_GT(cold.run_ms, 0);
+    EXPECT_TRUE(cache.contains(service::resultKey(req)));
+
+    // The label is a display name no backend reads: still a hit.
+    req.label = "renamed";
+    service::CompileResponse warm = svc.compile(req);
+    ASSERT_TRUE(warm.ok()) << warm.error;
+    EXPECT_EQ(warm.run_ms, 0);
+    EXPECT_TRUE(sameMetrics(cold.metrics, warm.metrics));
+}
+
+TEST(CompileService, MemoSeparatesDamagedFabrics)
 {
     service::PrepareCache cache;
     service::CompileService::Options opts;
@@ -473,8 +565,7 @@ TEST(CompileService, BatchKeySeparatesDamagedFabrics)
     slow.config.code_distance = 3;
     auto blocker = svc.submit(slow);
 
-    // Same program and backend; only the fabric damage differs, and
-    // it is part of the machine artifact.
+    // Same program and backend; only the fabric damage differs.
     service::CompileRequest clean;
     clean.app = apps::AppKind::SQ;
     clean.gen = {8, 2};
@@ -490,18 +581,177 @@ TEST(CompileService, BatchKeySeparatesDamagedFabrics)
     service::CompileResponse queued_damaged = damaged_future.get();
     ASSERT_TRUE(queued_clean.ok()) << queued_clean.error;
     ASSERT_TRUE(queued_damaged.ok()) << queued_damaged.error;
+    EXPECT_EQ(queued_clean.metrics.schedule_cycles, 5368u);
+    EXPECT_EQ(queued_damaged.metrics.schedule_cycles, 7139u);
 
-    // The queue is empty now: each request runs alone.
-    service::CompileResponse alone_clean = svc.compile(clean);
-    service::CompileResponse alone_damaged = svc.compile(damaged);
-    EXPECT_TRUE(sameMetrics(queued_clean.metrics, alone_clean.metrics));
+    // Repeats are memo hits, each of its own entry.
+    service::CompileResponse again_clean = svc.compile(clean);
+    service::CompileResponse again_damaged = svc.compile(damaged);
+    EXPECT_EQ(again_clean.run_ms, 0);
+    EXPECT_EQ(again_damaged.run_ms, 0);
+    EXPECT_TRUE(sameMetrics(queued_clean.metrics, again_clean.metrics));
     EXPECT_TRUE(
-        sameMetrics(queued_damaged.metrics, alone_damaged.metrics))
-        << "queued " << queued_damaged.metrics.schedule_cycles
-        << " cycles, alone "
-        << alone_damaged.metrics.schedule_cycles;
-    EXPECT_NE(alone_clean.metrics.schedule_cycles,
-              alone_damaged.metrics.schedule_cycles);
+        sameMetrics(queued_damaged.metrics, again_damaged.metrics));
+}
+
+TEST(CompileService, ResultKeyCoversEveryInputButLabelAndTrace)
+{
+    service::CompileRequest base;
+    base.app = apps::AppKind::SQ;
+    base.gen = {8, 2};
+    base.backend = engine::backends::double_defect;
+
+    using Edit = void (*)(service::CompileRequest &);
+    const std::vector<std::pair<const char *, Edit>> edits = {
+        {"app", [](auto &r) { r.app = apps::AppKind::GSE; }},
+        {"problem_size", [](auto &r) { r.gen.problem_size = 9; }},
+        {"max_iterations", [](auto &r) { r.gen.max_iterations = 3; }},
+        {"circuit",
+         [](auto &r) {
+             r.circuit = std::make_shared<const circuit::Circuit>(
+                 apps::generate(r.app, r.gen));
+         }},
+        {"rz_sequence_length",
+         [](auto &r) { r.decompose.rz_sequence_length = 41; }},
+        {"rz_t_fraction",
+         [](auto &r) { r.decompose.rz_t_fraction = 0.25; }},
+        {"expand_swap", [](auto &r) { r.decompose.expand_swap = false; }},
+        {"run_peephole", [](auto &r) { r.run_peephole = true; }},
+        {"backend",
+         [](auto &r) { r.backend = engine::backends::surgery_sim; }},
+        {"p_physical", [](auto &r) { r.config.tech.p_physical = 2e-3; }},
+        {"t_two_qubit_ns",
+         [](auto &r) { r.config.tech.t_two_qubit_ns += 1; }},
+        {"single_qubit_speedup",
+         [](auto &r) { r.config.tech.single_qubit_speedup += 1; }},
+        {"t_measure_ns", [](auto &r) { r.config.tech.t_measure_ns += 1; }},
+        {"code_distance", [](auto &r) { r.config.code_distance = 7; }},
+        {"policy", [](auto &r) { r.config.policy = 2; }},
+        {"epr_window_steps",
+         [](auto &r) { r.config.epr_window_steps = 8; }},
+        {"epr_bandwidth", [](auto &r) { r.config.epr_bandwidth = 3; }},
+        {"num_simd_regions",
+         [](auto &r) { r.config.num_simd_regions = 2; }},
+        {"region_capacity",
+         [](auto &r) { r.config.region_capacity = 64; }},
+        {"kq", [](auto &r) { r.config.kq = 1e6; }},
+        {"fast_forward", [](auto &r) { r.config.fast_forward = false; }},
+        {"legacy_baseline",
+         [](auto &r) { r.config.legacy_baseline = true; }},
+        {"magic_production_cycles",
+         [](auto &r) { r.config.magic_production_cycles = 10; }},
+        {"magic_buffer_capacity",
+         [](auto &r) { r.config.magic_buffer_capacity = 5; }},
+        {"adapt_timeout", [](auto &r) { r.config.adapt_timeout = 5; }},
+        {"bfs_timeout", [](auto &r) { r.config.bfs_timeout = 9; }},
+        {"drop_timeout", [](auto &r) { r.config.drop_timeout = 17; }},
+        {"max_cycles", [](auto &r) { r.config.max_cycles = 99; }},
+        {"hybrid_arbiter", [](auto &r) { r.config.hybrid_arbiter = 1; }},
+        {"layout_objective",
+         [](auto &r) { r.config.layout_objective = 2; }},
+        {"lane_spacing", [](auto &r) { r.config.lane_spacing = 3; }},
+        {"defect_density",
+         [](auto &r) { r.config.defect_density = 0.05; }},
+        {"defect_seed", [](auto &r) { r.config.defect_seed = 4; }},
+        {"defect_spec",
+         [](auto &r) { r.config.defect_spec = "{\"dead_tiles\": []}"; }},
+        {"seed", [](auto &r) { r.config.seed = 2; }},
+        {"seed beyond 2^53",
+         [](auto &r) { r.config.seed = (uint64_t{1} << 53) + 1; }},
+        {"seed at 2^53", [](auto &r) { r.config.seed = uint64_t{1} << 53; }},
+    };
+
+    const std::string base_key = service::resultKey(base);
+    std::map<std::string, const char *> seen = {{base_key, "base"}};
+    for (const auto &[name, edit] : edits) {
+        service::CompileRequest r = base;
+        edit(r);
+        std::string key = service::resultKey(r);
+        ASSERT_FALSE(key.empty()) << name;
+        auto [it, fresh] = seen.emplace(key, name);
+        EXPECT_TRUE(fresh) << name << " collides with " << it->second;
+    }
+
+    service::CompileRequest observed = base;
+    observed.label = "another name";
+    obs::TraceRecorder recorder;
+    observed.config.trace = &recorder;
+    EXPECT_EQ(service::resultKey(observed), base_key);
+
+    // JSON writes a non-finite number as null, which would alias:
+    // such a request gets no key, so it is never memoized.
+    service::CompileRequest inf = base;
+    inf.config.tech.t_two_qubit_ns =
+        std::numeric_limits<double>::infinity();
+    EXPECT_EQ(service::resultKey(inf), "");
+}
+
+/** A recorder that counts the events of the runs it traces. */
+struct CountingRecorder : obs::TraceRecorder
+{
+    std::atomic<uint64_t> events{0};
+
+    void record(const obs::TraceEvent &) override { events.fetch_add(1); }
+};
+
+TEST(CompileService, TracedRequestBypassesTheMemo)
+{
+    service::PrepareCache cache;
+    service::CompileService::Options opts;
+    opts.num_threads = 1;
+    opts.cache = &cache;
+    service::CompileService svc(opts);
+
+    service::CompileRequest req;
+    req.app = apps::AppKind::SQ;
+    req.gen = {8, 1};
+    req.backend = engine::backends::surgery_sim;
+    req.config.code_distance = 3;
+    service::CompileResponse untraced = svc.compile(req);
+    ASSERT_TRUE(untraced.ok()) << untraced.error;
+    ASSERT_TRUE(cache.contains(service::resultKey(req)));
+
+    // The result is memoized, yet each traced request runs the
+    // backend and records its events.
+    CountingRecorder first, second;
+    for (CountingRecorder *rec : {&first, &second}) {
+        service::CompileRequest traced = req;
+        traced.config.trace = rec;
+        CacheStats before = cache.stats();
+        service::CompileResponse r = svc.compile(traced);
+        ASSERT_TRUE(r.ok()) << r.error;
+        EXPECT_GT(rec->events.load(), 0u);
+        EXPECT_TRUE(sameMetrics(r.metrics, untraced.metrics));
+        // Program and artifact fetches only, both hits.
+        EXPECT_EQ(cache.stats().misses, before.misses);
+    }
+    EXPECT_EQ(first.events.load(), second.events.load());
+}
+
+TEST(CompileService, FailedRequestIsNotStored)
+{
+    service::PrepareCache cache;
+    service::CompileService::Options opts;
+    opts.num_threads = 2;
+    opts.cache = &cache;
+    service::CompileService svc(opts);
+
+    service::CompileRequest bad;
+    bad.app = apps::AppKind::SQ;
+    bad.gen = {8, 1};
+    bad.backend = engine::backends::double_defect;
+    bad.config.code_distance = -1; // Rejected by Backend::prepare.
+    const std::string key = service::resultKey(bad);
+    for (int attempt = 0; attempt < 2; ++attempt) {
+        uint64_t misses = cache.stats().misses;
+        service::CompileResponse r = svc.compile(bad);
+        EXPECT_FALSE(r.ok());
+        EXPECT_NE(r.error.find("code distance"), std::string::npos)
+            << r.error;
+        EXPECT_FALSE(cache.contains(key));
+        // Every attempt looks the result up afresh and misses.
+        EXPECT_GT(cache.stats().misses, misses);
+    }
 }
 
 TEST(CompileService, ReportsErrorsPerRequestAndStaysUp)

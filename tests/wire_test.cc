@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -202,22 +203,33 @@ TEST(WireCodec, CompileRequestRoundTripsEveryField)
     req.label = "round-trip";
     req.backend = engine::backends::hybrid_mixed;
     req.config.tech.p_physical = 1e-6;
+    req.config.tech.t_two_qubit_ns = 41.5;
+    req.config.tech.single_qubit_speedup = 3.25;
+    req.config.tech.t_measure_ns = 0.1 + 0.2;
     req.config.code_distance = 17;
     req.config.policy = 3;
     req.config.epr_window_steps = 48;
+    req.config.epr_bandwidth = 5;
+    req.config.num_simd_regions = 6;
+    req.config.region_capacity = 96;
     req.config.kq = 1e7;
     req.config.fast_forward = false;
+    req.config.legacy_baseline = true;
+    req.config.magic_production_cycles = 12;
+    req.config.magic_buffer_capacity = 7;
     req.config.adapt_timeout = 6;
+    req.config.bfs_timeout = 10;
+    req.config.drop_timeout = 20;
     req.config.max_cycles = 3'000'000'000ull;
     req.config.hybrid_arbiter = 2;
     req.config.layout_objective = 2;
     req.config.lane_spacing = 3;
     req.config.defect_density = 0.07;
-    req.config.defect_seed = 99;
+    req.config.defect_seed = (uint64_t{1} << 53) + 1;
     req.config.defect_spec =
         "{\"dead_tiles\": [[1, 2]], \"disabled_links\": "
         "[[0, 0, 1, 0]]}";
-    req.config.seed = 424242;
+    req.config.seed = std::numeric_limits<uint64_t>::max();
 
     service::CompileRequest back =
         wire::decodeCompileRequest(wire::encodeCompileRequest(req));
@@ -226,33 +238,78 @@ TEST(WireCodec, CompileRequestRoundTripsEveryField)
     EXPECT_EQ(back.gen.max_iterations, req.gen.max_iterations);
     EXPECT_EQ(back.decompose.rz_sequence_length,
               req.decompose.rz_sequence_length);
-    EXPECT_DOUBLE_EQ(back.decompose.rz_t_fraction,
-                     req.decompose.rz_t_fraction);
+    EXPECT_EQ(back.decompose.rz_t_fraction,
+              req.decompose.rz_t_fraction);
     EXPECT_EQ(back.decompose.expand_swap,
               req.decompose.expand_swap);
     EXPECT_EQ(back.run_peephole, req.run_peephole);
     EXPECT_EQ(back.label, req.label);
     EXPECT_EQ(back.backend, req.backend);
-    EXPECT_DOUBLE_EQ(back.config.tech.p_physical,
-                     req.config.tech.p_physical);
-    EXPECT_EQ(back.config.code_distance, req.config.code_distance);
-    EXPECT_EQ(back.config.policy, req.config.policy);
-    EXPECT_EQ(back.config.epr_window_steps,
-              req.config.epr_window_steps);
-    EXPECT_DOUBLE_EQ(back.config.kq, req.config.kq);
-    EXPECT_EQ(back.config.fast_forward, req.config.fast_forward);
-    EXPECT_EQ(back.config.adapt_timeout, req.config.adapt_timeout);
-    EXPECT_EQ(back.config.max_cycles, req.config.max_cycles);
-    EXPECT_EQ(back.config.hybrid_arbiter,
-              req.config.hybrid_arbiter);
-    EXPECT_EQ(back.config.layout_objective,
-              req.config.layout_objective);
-    EXPECT_EQ(back.config.lane_spacing, req.config.lane_spacing);
-    EXPECT_DOUBLE_EQ(back.config.defect_density,
-                     req.config.defect_density);
-    EXPECT_EQ(back.config.defect_seed, req.config.defect_seed);
-    EXPECT_EQ(back.config.defect_spec, req.config.defect_spec);
-    EXPECT_EQ(back.config.seed, req.config.seed);
+    const engine::RunConfig &a = req.config;
+    const engine::RunConfig &b = back.config;
+    EXPECT_EQ(b.tech.p_physical, a.tech.p_physical);
+    EXPECT_EQ(b.tech.t_two_qubit_ns, a.tech.t_two_qubit_ns);
+    EXPECT_EQ(b.tech.single_qubit_speedup, a.tech.single_qubit_speedup);
+    EXPECT_EQ(b.tech.t_measure_ns, a.tech.t_measure_ns);
+    EXPECT_EQ(b.code_distance, a.code_distance);
+    EXPECT_EQ(b.policy, a.policy);
+    EXPECT_EQ(b.epr_window_steps, a.epr_window_steps);
+    EXPECT_EQ(b.epr_bandwidth, a.epr_bandwidth);
+    EXPECT_EQ(b.num_simd_regions, a.num_simd_regions);
+    EXPECT_EQ(b.region_capacity, a.region_capacity);
+    EXPECT_EQ(b.kq, a.kq);
+    EXPECT_EQ(b.fast_forward, a.fast_forward);
+    EXPECT_EQ(b.legacy_baseline, a.legacy_baseline);
+    EXPECT_EQ(b.magic_production_cycles, a.magic_production_cycles);
+    EXPECT_EQ(b.magic_buffer_capacity, a.magic_buffer_capacity);
+    EXPECT_EQ(b.adapt_timeout, a.adapt_timeout);
+    EXPECT_EQ(b.bfs_timeout, a.bfs_timeout);
+    EXPECT_EQ(b.drop_timeout, a.drop_timeout);
+    EXPECT_EQ(b.max_cycles, a.max_cycles);
+    EXPECT_EQ(b.hybrid_arbiter, a.hybrid_arbiter);
+    EXPECT_EQ(b.layout_objective, a.layout_objective);
+    EXPECT_EQ(b.lane_spacing, a.lane_spacing);
+    EXPECT_EQ(b.defect_density, a.defect_density);
+    EXPECT_EQ(b.defect_seed, a.defect_seed);
+    EXPECT_EQ(b.defect_spec, a.defect_spec);
+    EXPECT_EQ(b.seed, a.seed);
+    // Nothing the result depends on was lost on the way.
+    EXPECT_EQ(service::resultKey(back), service::resultKey(req));
+}
+
+TEST(WireCodec, SeedsAndCountsArriveExactly)
+{
+    for (uint64_t v : {uint64_t{1} << 53, (uint64_t{1} << 53) + 1,
+                       uint64_t{12345678901234567891ull},
+                       std::numeric_limits<uint64_t>::max()}) {
+        service::CompileRequest req;
+        req.config.seed = v;
+        req.config.defect_seed = v - 1;
+        req.config.max_cycles = v;
+        service::CompileRequest back = wire::decodeCompileRequest(
+            wire::encodeCompileRequest(req));
+        EXPECT_EQ(back.config.seed, v);
+        EXPECT_EQ(back.config.defect_seed, v - 1);
+        EXPECT_EQ(back.config.max_cycles, v);
+    }
+}
+
+TEST(WireCodec, IntegersThatDoNotFitAreErrorsNotCasts)
+{
+    auto decode = [](const std::string &config) {
+        return wire::decodeCompileRequest("{\"config\": " + config
+                                          + "}");
+    };
+    EXPECT_EQ(decode("{\"seed\": 18446744073709551615}").config.seed,
+              std::numeric_limits<uint64_t>::max());
+    for (const char *bad :
+         {"{\"seed\": -1}", "{\"seed\": 1.5}",
+          "{\"seed\": 18446744073709551616}", "{\"seed\": 1e3}",
+          "{\"defect_seed\": -3}", "{\"max_cycles\": 2.5}",
+          "{\"code_distance\": 2.5}", "{\"policy\": 3000000000}",
+          "{\"lane_spacing\": -2147483649}"})
+        EXPECT_THROW(decode(bad), FatalError) << bad;
+    EXPECT_EQ(decode("{\"epr_bandwidth\": -2}").config.epr_bandwidth, -2);
 }
 
 TEST(WireCodec, CallerCircuitsAreNotRepresentable)
