@@ -151,10 +151,4 @@ AppScaling::tFraction() const
     panic("unknown AppKind");
 }
 
-AppScaling
-appScaling(AppKind kind)
-{
-    return AppScaling(kind);
-}
-
 } // namespace qsurf::apps

@@ -60,9 +60,6 @@ class AppScaling
     AppKind kind_;
 };
 
-/** @return the scaling model for @p kind. */
-AppScaling appScaling(AppKind kind);
-
 } // namespace qsurf::apps
 
 #endif // QSURF_APPS_SCALING_H

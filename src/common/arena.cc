@@ -98,15 +98,6 @@ Arena::stats() const
     return s;
 }
 
-size_t
-Arena::headroom() const
-{
-    if (current_ >= blocks_.size())
-        return 0;
-    const Block &b = blocks_[current_];
-    return b.capacity - b.used;
-}
-
 Arena *
 Arena::scratch()
 {

@@ -88,9 +88,6 @@ class Arena
      */
     uint64_t generation() const { return generation_; }
 
-    /** @return bytes still free in the current block (test hook). */
-    size_t headroom() const;
-
     /** @return the calling thread's bound scratch arena, or null. */
     static Arena *scratch();
 

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -236,6 +237,17 @@ JsonValue::find(const std::string &key) const
         if (name == key)
             found = &value;
     return found;
+}
+
+int
+JsonValue::toInt(std::string_view context, std::string_view name) const
+{
+    fatalIf(!isNumber(), context, " '", name, "' is not a number");
+    if (!(std::trunc(num) == num
+          && num >= std::numeric_limits<int>::min()
+          && num <= std::numeric_limits<int>::max()))
+        fatal(context, " '", name, "' is not an int: ", num);
+    return static_cast<int>(num);
 }
 
 namespace {

@@ -15,6 +15,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -132,6 +133,12 @@ struct JsonValue
     /** @return the member named @p key, or null when absent (or when
      *  this is not an object). */
     const JsonValue *find(const std::string &key) const;
+
+    /** @return this number as an int.  fatal()s, naming the value
+     *  "@p context '@p name'", unless it is a number with an
+     *  integral value in int's range: a fractional or out-of-range
+     *  value is never cast. */
+    int toInt(std::string_view context, std::string_view name) const;
 };
 
 /**

@@ -91,14 +91,6 @@ ChainClaimer::reserveTerminal(const Coord &terminal)
             "patch terminal already claimed on the mesh");
 }
 
-bool
-ChainClaimer::isReserved(const Coord &c) const
-{
-    return reserved_[static_cast<size_t>(
-               linearIndex(c, mesh_.width()))]
-        >= 0;
-}
-
 void
 ChainClaimer::setEndpointReserved(const Coord &c, bool reserved)
 {

@@ -437,9 +437,6 @@ class ChainClaimer
      */
     void reserveTerminal(const Coord &terminal);
 
-    /** @return true when @p c is a reserved patch terminal. */
-    bool isReserved(const Coord &c) const;
-
     /**
      * Try to claim the corridor of @p primary (endpoints included)
      * for @p owner.

@@ -228,12 +228,10 @@ DefectMap::fromSpec(const std::string &json, int w, int h)
         fatalIf(!tiles->isArray(),
                 "defect spec 'dead_tiles' is not an array");
         for (const JsonValue &t : tiles->items) {
-            fatalIf(!t.isArray() || t.items.size() != 2
-                        || !t.items[0].isNumber()
-                        || !t.items[1].isNumber(),
+            fatalIf(!t.isArray() || t.items.size() != 2,
                     "defect spec dead tile is not an [x, y] pair");
-            map.killTile(static_cast<int>(t.items[0].num),
-                         static_cast<int>(t.items[1].num));
+            map.killTile(t.items[0].toInt("defect spec dead tile", "x"),
+                         t.items[1].toInt("defect spec dead tile", "y"));
         }
     }
     if (const JsonValue *links = doc.find("disabled_links")) {
@@ -242,13 +240,10 @@ DefectMap::fromSpec(const std::string &json, int w, int h)
         for (const JsonValue &l : links->items) {
             fatalIf(!l.isArray() || l.items.size() != 4,
                     "defect spec link is not an [x1,y1,x2,y2] tuple");
-            for (const JsonValue &v : l.items)
-                fatalIf(!v.isNumber(),
-                        "defect spec link coordinate is not a number");
-            map.disableLink({static_cast<int>(l.items[0].num),
-                             static_cast<int>(l.items[1].num)},
-                            {static_cast<int>(l.items[2].num),
-                             static_cast<int>(l.items[3].num)});
+            int c[4];
+            for (size_t i = 0; i < 4; ++i)
+                c[i] = l.items[i].toInt("defect spec link", "coordinate");
+            map.disableLink({c[0], c[1]}, {c[2], c[3]});
         }
     }
     if (const JsonValue *regions = doc.find("regions")) {
@@ -259,9 +254,8 @@ DefectMap::fromSpec(const std::string &json, int w, int h)
                     "defect spec region is not an object");
             auto coord = [&](const char *key) {
                 const JsonValue *v = r.find(key);
-                fatalIf(!v || !v->isNumber(), "defect spec region "
-                        "field '", key, "' is not a number");
-                return static_cast<int>(v->num);
+                fatalIf(!v, "defect spec region has no '", key, "'");
+                return v->toInt("defect spec region", key);
             };
             const JsonValue *mult = r.find("multiplier");
             fatalIf(!mult || !mult->isNumber(),

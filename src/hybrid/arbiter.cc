@@ -8,20 +8,6 @@
 namespace qsurf::hybrid {
 
 const char *
-schemeName(Scheme scheme)
-{
-    switch (scheme) {
-      case Scheme::Braid:
-        return "braid";
-      case Scheme::Teleport:
-        return "teleport";
-      case Scheme::Surgery:
-        return "surgery";
-    }
-    panic("bad Scheme");
-}
-
-const char *
 arbiterName(ArbiterKind kind)
 {
     switch (kind) {

@@ -35,9 +35,6 @@ enum class Scheme : uint8_t
 /** Number of schemes (histogram sizing). */
 inline constexpr int num_schemes = 3;
 
-/** @return "braid" / "teleport" / "surgery". */
-const char *schemeName(Scheme scheme);
-
 /** The built-in arbitration policies (RunConfig::hybrid_arbiter). */
 enum class ArbiterKind : int
 {

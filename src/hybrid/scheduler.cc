@@ -761,20 +761,6 @@ class Simulator
 
 } // namespace
 
-uint64_t
-hybridCriticalPath(const circuit::Circuit &circ,
-                   const HybridOptions &opts)
-{
-    fatalIf(opts.code_distance < 1,
-            "code distance must be >= 1, got ", opts.code_distance);
-    surgery::PatchArchOptions a;
-    a.patches_per_factory = opts.patches_per_factory;
-    a.optimized_layout = opts.optimized_layout;
-    a.seed = opts.seed;
-    surgery::PatchArch arch(circuit::interactionGraph(circ), a);
-    return criticalPathOn(circ, arch, opts);
-}
-
 surgery::PatchArchOptions
 patchArchOptions(const HybridOptions &opts)
 {

@@ -236,14 +236,6 @@ struct HybridResult
 };
 
 /**
- * Dependence-limited critical path of @p circ on the hybrid
- * machine: each op costs its cheapest allowed scheme's ideal
- * (uncontended, unqueued) latency under @p opts.
- */
-uint64_t hybridCriticalPath(const circuit::Circuit &circ,
-                            const HybridOptions &opts);
-
-/**
  * @return the PatchArchOptions @p opts resolves to — field-for-field
  * the same mapping as surgery::patchArchOptions, which is what lets
  * the hybrid and surgery backends share one cached

@@ -51,15 +51,6 @@ MetricsRegistry::merge(const MetricsRegistry &other)
         histograms[name].merge(h);
 }
 
-void
-MetricsRegistry::reset()
-{
-    std::lock_guard<std::mutex> lock(mutex);
-    counters.clear();
-    gauges.clear();
-    histograms.clear();
-}
-
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {

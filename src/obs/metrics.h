@@ -95,9 +95,6 @@ class MetricsRegistry
      *  counters add, gauges overwrite, histograms merge bucketwise. */
     void merge(const MetricsRegistry &other);
 
-    /** Drop every metric (used by tests and benches between runs). */
-    void reset();
-
     /** @return a sorted copy of the current contents. */
     MetricsSnapshot snapshot() const;
 

@@ -1,5 +1,6 @@
 #include "partition/layout.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -331,6 +332,139 @@ weightedCorridorLength(const Graph &g, const GridLayout &layout,
     return sum;
 }
 
+namespace {
+
+/**
+ * Lower bounds that let refineForCorridors skip, exactly, the swaps
+ * that cannot strictly lower the corridor cost.
+ *
+ * corridorTiles >= manhattan, so the weighted Manhattan cost of
+ * vertex x at cell c, F_x(c) = gx_x[c.x] + hy_x[c.y] (separable per
+ * axis), lower-bounds its corridor cost there.  Swapping u (at ci)
+ * with v (at cj) therefore changes the objective by at least
+ * [F_u(cj) - C(u)] + [F_v(ci) - C(v)], C being the current corridor
+ * cost of a vertex's edges; an empty side adds 0, and the u-v edge
+ * counts 0 in F.  slack(x) = C(x) - min gx_x - min hy_x >= 0 is the
+ * most x can gain anywhere, and row_slack[y] the largest slack in
+ * row y, so no swap of u into row y improves once
+ * hy_u[y] + min gx_u - C(u) >= row_slack[y].
+ */
+class SwapBounds
+{
+  public:
+    SwapBounds(const Graph &g, const GridLayout &layout,
+               int lane_spacing)
+        : g(g), layout(layout), lane_spacing(lane_spacing),
+          w(static_cast<size_t>(layout.width)),
+          h(static_cast<size_t>(layout.height)),
+          gx(static_cast<size_t>(g.size()) * w),
+          hy(static_cast<size_t>(g.size()) * h),
+          cost(static_cast<size_t>(g.size())),
+          min_gx(cost.size()), slack(cost.size()), row_slack(h)
+    {
+        for (int x = 0; x < g.size(); ++x)
+            refreshVertex(x);
+        for (int y = 0; y < layout.height; ++y)
+            refreshRow(y);
+    }
+
+    /** @return a lower bound on the cost change of vertex @p x
+     *  moving to cell @p to (0 for an empty cell, @p x < 0). */
+    int64_t
+    moveBound(int x, const Coord &to) const
+    {
+        if (x < 0)
+            return 0;
+        auto v = static_cast<size_t>(x);
+        return gx[v * w + static_cast<size_t>(to.x)]
+             + hy[v * h + static_cast<size_t>(to.y)] - cost[v];
+    }
+
+    /** @return whether no swap of cell content @p u (a vertex, or
+     *  -1 for an empty cell) with a cell of row @p y can improve. */
+    bool
+    rowHopeless(int u, int y) const
+    {
+        int64_t floor = 0;
+        if (u >= 0) {
+            auto v = static_cast<size_t>(u);
+            floor = hy[v * h + static_cast<size_t>(y)] + min_gx[v]
+                  - cost[v];
+        }
+        return floor >= row_slack[static_cast<size_t>(y)];
+    }
+
+    /** Refresh after the contents of cells @p a and @p b swapped:
+     *  the moved vertices, their neighbours and their rows. */
+    void
+    swapped(const Coord &a, const Coord &b)
+    {
+        touched.clear();
+        for (const Coord &c : {a, b}) {
+            int x = layout.at(c);
+            if (x < 0)
+                continue;
+            touched.push_back(x);
+            for (const auto &[n, wt] : g.neighbors(x))
+                touched.push_back(n);
+        }
+        for (int x : touched)
+            refreshVertex(x);
+        refreshRow(a.y);
+        refreshRow(b.y);
+        for (int x : touched)
+            refreshRow(layout.position[static_cast<size_t>(x)].y);
+    }
+
+  private:
+    void
+    refreshVertex(int x)
+    {
+        auto v = static_cast<size_t>(x);
+        int64_t *gxv = &gx[v * w];
+        int64_t *hyv = &hy[v * h];
+        std::fill(gxv, gxv + w, 0);
+        std::fill(hyv, hyv + h, 0);
+        const Coord &at = layout.position[v];
+        int64_t c = 0;
+        for (const auto &[n, wt] : g.neighbors(x)) {
+            const Coord &p = layout.position[static_cast<size_t>(n)];
+            c += wt * corridorTiles(at, p, lane_spacing);
+            for (size_t i = 0; i < w; ++i)
+                gxv[i] += wt * std::abs(static_cast<int>(i) - p.x);
+            for (size_t i = 0; i < h; ++i)
+                hyv[i] += wt * std::abs(static_cast<int>(i) - p.y);
+        }
+        cost[v] = c;
+        min_gx[v] = *std::min_element(gxv, gxv + w);
+        slack[v] = c - min_gx[v] - *std::min_element(hyv, hyv + h);
+    }
+
+    void
+    refreshRow(int y)
+    {
+        int64_t most = 0;
+        const int *row = &layout.vertex_at[static_cast<size_t>(y) * w];
+        for (size_t i = 0; i < w; ++i)
+            if (row[i] >= 0)
+                most = std::max(most,
+                                slack[static_cast<size_t>(row[i])]);
+        row_slack[static_cast<size_t>(y)] = most;
+    }
+
+    const Graph &g;
+    const GridLayout &layout;
+    int lane_spacing;
+    size_t w, h;
+    /** gx[x * w + c], hy[x * h + r]: x's weighted Manhattan cost
+     *  split per axis, at column c and row r. */
+    std::vector<int64_t> gx, hy;
+    std::vector<int64_t> cost, min_gx, slack, row_slack;
+    std::vector<int> touched;
+};
+
+} // namespace
+
 double
 refineForCorridors(const Graph &g, GridLayout &layout,
                    int lane_spacing, int max_passes)
@@ -369,6 +503,10 @@ refineForCorridors(const Graph &g, GridLayout &layout,
     fatalIf(masked && dead.size() != layout.vertex_at.size(),
             "cell mask covers ", dead.size(), " cells of a ",
             layout.width, "x", layout.height, " grid");
+    // Cells j > i in row-major order, skipping the rows and pairs
+    // whose lower bound (0 for two empty cells) shows they cannot
+    // improve.
+    SwapBounds bounds(g, layout, lane_spacing);
     for (int pass = 0; pass < max_passes; ++pass) {
         bool improved = false;
         for (int i = 0; i < cells; ++i) {
@@ -376,28 +514,38 @@ refineForCorridors(const Graph &g, GridLayout &layout,
                 continue;
             Coord ci = fromLinearIndex(i, layout.width);
             int u = layout.at(ci);
-            for (int j = i + 1; j < cells; ++j) {
-                if (masked && dead[static_cast<size_t>(j)])
+            for (int y = ci.y; y < layout.height; ++y) {
+                if (bounds.rowHopeless(u, y))
                     continue;
-                Coord cj = fromLinearIndex(j, layout.width);
-                int v = layout.at(cj);
-                if (u < 0 && v < 0)
-                    continue;
-                int64_t delta = 0;
-                if (u >= 0)
-                    delta += moveDelta(u, ci, cj, v);
-                if (v >= 0)
-                    delta += moveDelta(v, cj, ci, u);
-                if (delta >= 0)
-                    continue;
-                if (u >= 0)
-                    layout.position[static_cast<size_t>(u)] = cj;
-                if (v >= 0)
-                    layout.position[static_cast<size_t>(v)] = ci;
-                layout.vertex_at[static_cast<size_t>(i)] = v;
-                layout.vertex_at[static_cast<size_t>(j)] = u;
-                u = v;
-                improved = true;
+                for (int x = y == ci.y ? ci.x + 1 : 0;
+                     x < layout.width; ++x) {
+                    Coord cj{x, y};
+                    auto j = static_cast<size_t>(
+                        linearIndex(cj, layout.width));
+                    if (masked && dead[j])
+                        continue;
+                    int v = layout.vertex_at[j];
+                    if (bounds.moveBound(u, cj)
+                            + bounds.moveBound(v, ci)
+                        >= 0)
+                        continue;
+                    int64_t delta = 0;
+                    if (u >= 0)
+                        delta += moveDelta(u, ci, cj, v);
+                    if (v >= 0)
+                        delta += moveDelta(v, cj, ci, u);
+                    if (delta >= 0)
+                        continue;
+                    if (u >= 0)
+                        layout.position[static_cast<size_t>(u)] = cj;
+                    if (v >= 0)
+                        layout.position[static_cast<size_t>(v)] = ci;
+                    layout.vertex_at[static_cast<size_t>(i)] = v;
+                    layout.vertex_at[j] = u;
+                    bounds.swapped(ci, cj);
+                    u = v;
+                    improved = true;
+                }
             }
         }
         if (!improved)

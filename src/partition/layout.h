@@ -153,6 +153,15 @@ double weightedCorridorLength(const Graph &g,
  * fixed, so a given (graph, layout) always refines to the same
  * placement.
  *
+ * The scan is pruned exactly.  corridorTiles >= manhattan, so a
+ * vertex's weighted Manhattan cost at a cell (separable in x and y)
+ * lower-bounds its corridor cost there; a swap whose two moved
+ * vertices cannot together fall below their current corridor costs
+ * is skipped, and so is every row where no cell can host such a
+ * swap.  A skipped swap is one the unpruned scan (every pair j > i
+ * in row-major order, scored exactly) would also reject, so the
+ * applied swaps, the placement and the cost equal that scan's.
+ *
  * @return the refined layout's weightedCorridorLength.
  */
 double refineForCorridors(const Graph &g, GridLayout &layout,

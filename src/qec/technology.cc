@@ -44,14 +44,6 @@ current()
 }
 
 Technology
-nearTerm()
-{
-    Technology t;
-    t.p_physical = 1e-5;
-    return t;
-}
-
-Technology
 futureOptimistic()
 {
     Technology t;

@@ -58,9 +58,6 @@ namespace tech_points {
 /** Current technology, pP = 1e-3 (Section 7.3 [70, 71]). */
 Technology current();
 
-/** Near-term, pP = 1e-5. */
-Technology nearTerm();
-
 /** Future optimistic, pP = 1e-8 (Figures 7 and 8). */
 Technology futureOptimistic();
 

@@ -197,29 +197,6 @@ serveSweepWorker(int fd, const SweepWorkerEnv &env)
         }
         try {
             JsonValue doc = parseJson(frame.payload);
-            const JsonValue *workers = doc.find("workers");
-            const JsonValue *points = doc.find("points");
-            const JsonValue *residues = doc.find("residues");
-            fatalIf(!workers || !workers->isNumber() || !points
-                        || !points->isNumber() || !residues
-                        || !residues->isArray(),
-                    "malformed ShardAssign payload");
-            auto n = static_cast<size_t>(workers->num);
-            auto total = static_cast<size_t>(points->num);
-            fatalIf(n == 0, "ShardAssign names a fleet of 0");
-            std::vector<uint8_t> mask(n, 0);
-            for (const JsonValue &rv : residues->items) {
-                fatalIf(!rv.isNumber(),
-                        "malformed residue list in ShardAssign");
-                auto r_class = static_cast<size_t>(rv.num);
-                fatalIf(r_class >= n, "ShardAssign names residue ",
-                        r_class, " of ", n);
-                mask[r_class] = 1;
-            }
-            std::vector<uint8_t> done(total, 0);
-            if (const JsonValue *d = doc.find("done");
-                d && d->isString())
-                decodeDoneHex(d->str, done);
             if (!grid) {
                 const JsonValue *g = doc.find("grid");
                 fatalIf(!g || !g->isString(),
@@ -228,6 +205,37 @@ serveSweepWorker(int fd, const SweepWorkerEnv &env)
                 decoded = wire::decodeSweepGrid(g->str);
                 grid = &decoded;
             }
+            const JsonValue *workers = doc.find("workers");
+            const JsonValue *points = doc.find("points");
+            const JsonValue *residues = doc.find("residues");
+            fatalIf(!workers || !points || !residues
+                        || !residues->isArray(),
+                    "malformed ShardAssign payload");
+            int n = workers->toInt("ShardAssign", "workers");
+            fatalIf(n < 1, "ShardAssign names a fleet of ", n);
+            // Everything below is sized by this worker's own grid,
+            // never by a number off the wire.
+            size_t total = grid->points();
+            int claimed = points->toInt("ShardAssign", "points");
+            fatalIf(static_cast<size_t>(claimed) != total,
+                    "ShardAssign counts ", claimed,
+                    " points; this worker's grid has ", total);
+            // Residue r >= total owns no point, so the mask stops at
+            // min(workers, points).
+            std::vector<uint8_t> mask(
+                std::min(static_cast<size_t>(n), total), 0);
+            for (const JsonValue &rv : residues->items) {
+                int r_class = rv.toInt("ShardAssign", "residues");
+                fatalIf(r_class < 0 || r_class >= n,
+                        "ShardAssign names residue ", r_class, " of ",
+                        n);
+                if (static_cast<size_t>(r_class) < mask.size())
+                    mask[static_cast<size_t>(r_class)] = 1;
+            }
+            std::vector<uint8_t> done(total, 0);
+            if (const JsonValue *d = doc.find("done");
+                d && d->isString())
+                decodeDoneHex(d->str, done);
             // The assignment names what it believes this worker is
             // running; a mismatch means the processes disagree about
             // the experiment (codec drift, stale remote binary).
@@ -252,11 +260,13 @@ serveSweepWorker(int fd, const SweepWorkerEnv &env)
             opts.trace = nullptr;
             opts.metrics = nullptr;
             opts.heap_alloc_counter = nullptr;
-            opts.point_filter = [&mask, &done, n, total,
+            opts.point_filter = [&mask, &done, n,
                                  &write_failed](size_t i) {
                 if (write_failed.load(std::memory_order_relaxed))
                     return false;
-                return mask[i % n] && (i >= total || !done[i]);
+                size_t r_class = i % static_cast<size_t>(n);
+                return r_class < mask.size() && mask[r_class]
+                    && !done[i];
             };
             // on_row runs under the driver's row lock, so frames
             // from a multi-threaded worker never interleave.

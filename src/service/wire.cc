@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
-#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -188,24 +186,11 @@ num(const JsonValue &obj, const std::string &key, double fallback)
     return v->num;
 }
 
-/** @return @p v as an int; fatal()s on a fractional or out-of-range
- *  value (@p what names it) instead of casting it. */
-int
-toInt(const JsonValue &v, const std::string &what)
-{
-    fatalIf(!v.isNumber(), "wire field '", what, "' is not a number");
-    if (!(std::trunc(v.num) == v.num
-          && v.num >= std::numeric_limits<int>::min()
-          && v.num <= std::numeric_limits<int>::max()))
-        fatal("wire field '", what, "' is not an int: ", v.num);
-    return static_cast<int>(v.num);
-}
-
 int
 integer(const JsonValue &obj, const std::string &key, int fallback)
 {
     const JsonValue *v = obj.find(key);
-    return v ? toInt(*v, key) : fallback;
+    return v ? v->toInt("wire field", key) : fallback;
 }
 
 /** @return unsigned 64-bit field @p key exactly (seeds, cycle
@@ -641,7 +626,7 @@ decodeSweepGrid(const std::string &json)
                 "' is not an array");
         out.clear();
         for (const JsonValue &e : v->items)
-            out.push_back(toInt(e, name));
+            out.push_back(e.toInt("wire grid", name));
     };
     int_axis("policies", grid.policies);
     int_axis("arbiters", grid.arbiters);

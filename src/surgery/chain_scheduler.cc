@@ -508,15 +508,6 @@ chainCycles(double rounds_per_hop, int code_distance, int tiles)
 
 uint64_t
 surgeryCriticalPath(const circuit::Circuit &circ,
-                    const PatchArch &arch,
-                    const SurgeryOptions &opts)
-{
-    circuit::Dag dag(circ);
-    return surgeryCriticalPath(circ, dag, arch, opts);
-}
-
-uint64_t
-surgeryCriticalPath(const circuit::Circuit &circ,
                     const circuit::Dag &dag,
                     const PatchArch &arch,
                     const SurgeryOptions &opts)

@@ -208,17 +208,8 @@ uint64_t chainCycles(double rounds_per_hop, int code_distance,
  * Dependence-limited critical path of @p circ on @p arch in cycles,
  * with ideal (uncontended, Manhattan-length) corridors: 1-qubit ops
  * d, 2-qubit ops and T gates rounds_per_hop * d per patch tile of
- * their shortest chain.
- */
-uint64_t surgeryCriticalPath(const circuit::Circuit &circ,
-                             const PatchArch &arch,
-                             const SurgeryOptions &opts);
-
-/**
- * Same computation reusing an already-built dependence DAG of
- * @p circ (e.g. PatchPrepared::dag) instead of rebuilding one —
- * the rebuild is two heap vectors per gate, which the simulator's
- * per-run call has no reason to pay twice.
+ * their shortest chain.  @p dag is @p circ's dependence DAG (e.g.
+ * PatchPrepared::dag), built once and shared.
  */
 uint64_t surgeryCriticalPath(const circuit::Circuit &circ,
                              const circuit::Dag &dag,

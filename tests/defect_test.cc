@@ -110,6 +110,36 @@ TEST(DefectMap, MalformedSpecIsFatal)
         << "non-adjacent link endpoints must be rejected";
 }
 
+TEST(DefectMap, NonIntegerCoordinatesAreFatal)
+{
+    // Coordinates arrive as JSON doubles: a huge one must not be cast
+    // to int (undefined behaviour), nor a fractional one truncated.
+    for (const char *bad : {"1e300", "-1e300", "2.7"}) {
+        std::string b = bad;
+        EXPECT_THROW(DefectMap::fromSpec(
+                         "{\"dead_tiles\": [[" + b + ", 1]]}", 4, 4),
+                     qsurf::FatalError)
+            << b;
+        EXPECT_THROW(DefectMap::fromSpec(
+                         "{\"disabled_links\": [[1, 1, 1, " + b
+                             + "]]}",
+                         4, 4),
+                     qsurf::FatalError)
+            << b;
+        EXPECT_THROW(DefectMap::fromSpec(
+                         "{\"regions\": [{\"x0\": 0, \"y0\": " + b
+                             + ", \"x1\": 1, \"y1\": 1, "
+                               "\"multiplier\": 2}]}",
+                         4, 4),
+                     qsurf::FatalError)
+            << b;
+    }
+    // Integral doubles are exact and still accepted.
+    DefectMap m = DefectMap::fromSpec("{\"dead_tiles\": [[2.0, 1]]}", 4,
+                                      4);
+    EXPECT_TRUE(m.deadTile(2, 1));
+}
+
 TEST(DefectMap, RouteExposureMatchesBruteForce)
 {
     DefectMap m = DefectMap::generate(10, 8, 0.15, 5);

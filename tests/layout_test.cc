@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "partition/layout.h"
 
 namespace qsurf::partition {
@@ -248,6 +250,178 @@ TEST(CorridorObjective, RefinementUsesEmptyCells)
     double after = refineForCorridors(g, l);
     EXPECT_DOUBLE_EQ(after, 1.0);
     expectValidPlacement(l, 2);
+}
+
+/**
+ * The unpruned refinement: every cell pair j > i in row-major order
+ * scored exactly, the first strict improvement applied.  The pruned
+ * refineForCorridors must reproduce it swap for swap.
+ */
+double
+unprunedRefine(const Graph &g, GridLayout &layout, int lane_spacing,
+               int max_passes, const CellMask &dead)
+{
+    auto moveDelta = [&](int v, const Coord &from, const Coord &to,
+                         int exclude) {
+        int64_t d = 0;
+        for (const auto &[n, w] : g.neighbors(v)) {
+            if (n == exclude)
+                continue;
+            const Coord &p = layout.position[static_cast<size_t>(n)];
+            d += w * (corridorTiles(to, p, lane_spacing)
+                      - corridorTiles(from, p, lane_spacing));
+        }
+        return d;
+    };
+    int cells = layout.width * layout.height;
+    bool masked = !dead.empty();
+    for (int pass = 0; pass < max_passes; ++pass) {
+        bool improved = false;
+        for (int i = 0; i < cells; ++i) {
+            if (masked && dead[static_cast<size_t>(i)])
+                continue;
+            Coord ci = fromLinearIndex(i, layout.width);
+            int u = layout.at(ci);
+            for (int j = i + 1; j < cells; ++j) {
+                if (masked && dead[static_cast<size_t>(j)])
+                    continue;
+                Coord cj = fromLinearIndex(j, layout.width);
+                int v = layout.at(cj);
+                if (u < 0 && v < 0)
+                    continue;
+                int64_t delta = 0;
+                if (u >= 0)
+                    delta += moveDelta(u, ci, cj, v);
+                if (v >= 0)
+                    delta += moveDelta(v, cj, ci, u);
+                if (delta >= 0)
+                    continue;
+                if (u >= 0)
+                    layout.position[static_cast<size_t>(u)] = cj;
+                if (v >= 0)
+                    layout.position[static_cast<size_t>(v)] = ci;
+                layout.vertex_at[static_cast<size_t>(i)] = v;
+                layout.vertex_at[static_cast<size_t>(j)] = u;
+                u = v;
+                improved = true;
+            }
+        }
+        if (!improved)
+            break;
+    }
+    return weightedCorridorLength(g, layout, lane_spacing);
+}
+
+/** Refine @p seed both ways and require identical placements and
+ *  costs. */
+void
+expectMatchesUnpruned(const Graph &g, const GridLayout &seed,
+                      int lane_spacing, int max_passes,
+                      const CellMask &dead, const std::string &what)
+{
+    GridLayout pruned = seed;
+    GridLayout oracle = seed;
+    double got =
+        refineForCorridors(g, pruned, lane_spacing, max_passes, dead);
+    double want =
+        unprunedRefine(g, oracle, lane_spacing, max_passes, dead);
+    EXPECT_EQ(pruned.vertex_at, oracle.vertex_at) << what;
+    EXPECT_EQ(pruned.position, oracle.position) << what;
+    EXPECT_EQ(got, want) << what;
+}
+
+/** @return @p n vertices on the usable cells of a w x h grid in a
+ *  seeded random order (so refinement has many swaps to make). */
+GridLayout
+shuffledLayout(int n, int w, int h, const CellMask &dead, Rng &rng)
+{
+    std::vector<int> live;
+    for (int i = 0; i < w * h; ++i)
+        if (dead.empty() || !dead[static_cast<size_t>(i)])
+            live.push_back(i);
+    for (size_t i = live.size(); i > 1; --i)
+        std::swap(live[i - 1], live[rng.below(i)]);
+    GridLayout l = naiveLayout(0, w, h);
+    l.position.resize(static_cast<size_t>(n));
+    for (int v = 0; v < n; ++v) {
+        int cell = live[static_cast<size_t>(v)];
+        l.position[static_cast<size_t>(v)] = fromLinearIndex(cell, w);
+        l.vertex_at[static_cast<size_t>(cell)] = v;
+    }
+    return l;
+}
+
+TEST(CorridorRefinement, MatchesUnprunedScanOnRandomGraphs)
+{
+    Rng rng(2027);
+    for (int trial = 0; trial < 240; ++trial) {
+        int n = 2 + static_cast<int>(rng.below(48));
+        bool dense = trial % 3 == 0;
+        Graph g(n);
+        int edges = dense ? n * (n - 1) / 4 : 2 * n;
+        for (int e = 0; e < edges; ++e) {
+            auto a = static_cast<int>(rng.below(static_cast<uint64_t>(n)));
+            auto b = static_cast<int>(rng.below(static_cast<uint64_t>(n)));
+            if (a != b)
+                g.addEdge(a, b, rng.range(1, 3));
+        }
+        auto [w, h] = gridShape(n);
+        // Spare cells: widen and heighten by up to two.
+        w += static_cast<int>(rng.below(3));
+        h += static_cast<int>(rng.below(3));
+        CellMask dead;
+        if (trial % 2 == 1) {
+            dead.assign(static_cast<size_t>(w * h), 0);
+            int spare = w * h - n;
+            for (int i = 0; i < w * h && spare > 0; ++i)
+                if (rng.chance(0.15)) {
+                    dead[static_cast<size_t>(i)] = 1;
+                    --spare;
+                }
+        }
+        int lanes = static_cast<int>(rng.below(5));
+        int passes = trial % 5 == 0 ? 1 + static_cast<int>(rng.below(3))
+                                    : 8;
+        GridLayout seed = trial % 3 == 2
+            ? layoutOnGrid(g, w, h, static_cast<uint64_t>(trial), dead)
+            : shuffledLayout(n, w, h, dead, rng);
+        std::ostringstream what;
+        what << "trial " << trial << ": " << n << " vertices on " << w
+             << "x" << h << ", lanes " << lanes << ", passes " << passes
+             << (dead.empty() ? "" : ", masked");
+        expectMatchesUnpruned(g, seed, lanes, passes, dead, what.str());
+    }
+}
+
+TEST(CorridorRefinement, MatchesUnprunedScanOnChainPlusChordGraphs)
+{
+    // The compile-cold shape: a chain of CNOT pairs in two layers,
+    // sparse long-range chords, relabelled qubits, bisection seed.
+    Rng rng(7919);
+    for (int n : {192, 320, 511}) {
+        std::vector<int> label(static_cast<size_t>(n));
+        for (int q = 0; q < n; ++q)
+            label[static_cast<size_t>(q)] = q;
+        for (size_t i = label.size(); i > 1; --i)
+            std::swap(label[i - 1], label[rng.below(i)]);
+        Graph g(n);
+        auto cnot = [&](int a, int b) {
+            g.addEdge(label[static_cast<size_t>(a)],
+                      label[static_cast<size_t>(b % n)]);
+        };
+        for (int l = 0; l < 2; ++l)
+            for (int q = l; q + 1 < n; q += 2)
+                cnot(q, q + 1);
+        for (int q = static_cast<int>(rng.below(16)); q < n; q += 16)
+            cnot(q, q + n / 2);
+        auto [w, h] = gridShape(n);
+        for (int lanes : {0, 3}) {
+            GridLayout seed = layoutOnGrid(g, w, h, rng.next());
+            expectMatchesUnpruned(g, seed, lanes, 8, CellMask{},
+                                  std::to_string(n) + " qubits, lanes "
+                                      + std::to_string(lanes));
+        }
+    }
 }
 
 TEST(CorridorObjective, NamesAndCheckedCast)

@@ -775,6 +775,36 @@ TEST(CompileService, ReportsErrorsPerRequestAndStaysUp)
     EXPECT_TRUE(svc.compile(good).ok());
 }
 
+TEST(CompileService, NonIntegerDefectSpecIsAnErrorResponse)
+{
+    service::PrepareCache cache;
+    service::CompileService::Options opts;
+    opts.num_threads = 1;
+    opts.cache = &cache;
+    service::CompileService svc(opts);
+
+    for (const char *bad : {"1e300", "-1e300", "2.7"}) {
+        service::CompileRequest r;
+        r.app = apps::AppKind::SQ;
+        r.gen = {8, 1};
+        r.backend = engine::backends::double_defect;
+        r.config.code_distance = 3;
+        r.config.defect_spec =
+            std::string("{\"dead_tiles\": [[") + bad + ", 0]]}";
+        service::CompileResponse resp = svc.compile(r);
+        EXPECT_FALSE(resp.ok()) << bad;
+        EXPECT_NE(resp.error.find("not an int"), std::string::npos)
+            << resp.error;
+    }
+
+    service::CompileRequest good;
+    good.app = apps::AppKind::SQ;
+    good.gen = {8, 1};
+    good.config.code_distance = 3;
+    good.config.defect_spec = "{\"dead_tiles\": [[1, 0]]}";
+    EXPECT_TRUE(svc.compile(good).ok()) << "the service stays up";
+}
+
 TEST(Toolflow, CachedRunMatchesUncached)
 {
     circuit::Circuit logical =

@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -252,6 +254,96 @@ TEST(ShardFault, DeadRemoteWorkerIsRedialedAndRejoins)
     ASSERT_EQ(::waitpid(pid, &status, 0), pid);
     EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
         << "remote worker exit status " << status;
+}
+
+/** Serve one ShardAssign with @p payload to a worker on a
+ *  socketpair and @return the frames it answers with, up to Done or
+ *  Error; @p orderly gets serveSweepWorker's verdict. */
+std::vector<wire::Frame>
+assignOnce(const engine::SweepGrid &grid, const std::string &payload,
+           bool &orderly)
+{
+    int fds[2] = {-1, -1};
+    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+    std::thread worker([&] {
+        service::SweepWorkerEnv env;
+        env.grid = &grid;
+        env.base.num_threads = 1;
+        orderly = service::serveSweepWorker(fds[1], env);
+        ::close(fds[1]);
+    });
+    std::vector<wire::Frame> got;
+    wire::Frame hello;
+    EXPECT_TRUE(wire::readFrame(fds[0], hello).ok());
+    EXPECT_EQ(hello.type, wire::FrameType::Hello);
+    EXPECT_TRUE(wire::writeFrame(fds[0], wire::FrameType::ShardAssign,
+                                 payload)
+                    .ok());
+    for (;;) {
+        wire::Frame f;
+        if (!wire::readFrame(fds[0], f).ok())
+            break;
+        got.push_back(f);
+        if (f.type == wire::FrameType::Done
+            || f.type == wire::FrameType::Error) {
+            wire::writeFrame(fds[0], wire::FrameType::Shutdown, "");
+            break;
+        }
+    }
+    // Closing first unblocks a worker still waiting for a frame.
+    ::close(fds[0]);
+    worker.join();
+    return got;
+}
+
+std::string
+assignment(const std::string &workers, const std::string &points,
+           const std::string &residues)
+{
+    return "{\"worker\": 0, \"workers\": " + workers
+        + ", \"points\": " + points + ", \"residues\": [" + residues
+        + "]}";
+}
+
+TEST(ShardAssign, HostileAssignmentsFailCleanly)
+{
+    setQuiet(true);
+    engine::SweepGrid grid = faultGrid();
+    ASSERT_EQ(grid.points(), 12u);
+    // Each of these must come back as an Error frame: no cast of a
+    // negative, fractional or huge double, and no vector sized by it.
+    const std::vector<std::string> hostile = {
+        assignment("-1", "12", "0"),
+        assignment("1e19", "12", "0"),
+        assignment("2.5", "12", "0"),
+        assignment("0", "12", "0"),
+        assignment("2", "-1", "0"),
+        assignment("2", "1e19", "0"),
+        assignment("2", "2.5", "0"),
+        assignment("2", "13", "0"),
+        assignment("2", "4000000000", "0"),
+        assignment("2", "12", "-1"),
+        assignment("2", "12", "1e19"),
+        assignment("2", "12", "2.5"),
+        assignment("2", "12", "2"),
+    };
+    for (const std::string &payload : hostile) {
+        bool orderly = true;
+        std::vector<wire::Frame> got = assignOnce(grid, payload, orderly);
+        ASSERT_EQ(got.size(), 1u) << payload;
+        EXPECT_EQ(got[0].type, wire::FrameType::Error) << payload;
+        EXPECT_FALSE(orderly) << payload;
+    }
+
+    // A fleet far wider than the grid is legal and allocates nothing
+    // by its width: residue 0 owns point 0 alone.
+    bool orderly = false;
+    std::vector<wire::Frame> got =
+        assignOnce(grid, assignment("2147483647", "12", "0"), orderly);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].type, wire::FrameType::Row);
+    EXPECT_EQ(got[1].type, wire::FrameType::Done);
+    EXPECT_TRUE(orderly);
 }
 
 } // namespace
