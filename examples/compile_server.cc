@@ -22,7 +22,8 @@
  * --sweep-worker turns the process into a remote shard worker for
  * runShardedSweep() (src/service/shard.h): it serves one sweep
  * fleet's worth of ShardAssign/Row/Done traffic — the grid arrives
- * on the wire, nothing is shared with the parent — and exits when a
+ * on the wire, nothing is shared with the parent — running --threads
+ * chunks side by side (default min(8, cores)), and exits when a
  * parent finishes with an orderly Shutdown.  TCP with port 0 binds
  * an ephemeral port and prints it, so scripts can scrape the
  * "listening on" line instead of guessing.
@@ -136,7 +137,7 @@ main(int argc, char **argv)
             // Sweep fleets are serial per worker: one parent drives
             // this process at a time, and an orderly Shutdown means
             // its sweep is complete — exit so supervising scripts
-            // see completion.  A parent that vanishes mid-slice
+            // see completion.  A parent that vanishes mid-chunk
             // just ends that connection; the next parent can dial
             // in fresh.
             for (;;) {

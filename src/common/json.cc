@@ -250,6 +250,15 @@ JsonValue::toInt(std::string_view context, std::string_view name) const
     return static_cast<int>(num);
 }
 
+uint64_t
+JsonValue::toUint(std::string_view context, std::string_view name) const
+{
+    if (!exact_uint)
+        fatal(context, " '", name,
+              "' is not an unsigned 64-bit integer literal");
+    return *exact_uint;
+}
+
 namespace {
 
 /** Recursive-descent parser over the whole input string. */

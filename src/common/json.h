@@ -139,6 +139,15 @@ struct JsonValue
      *  integral value in int's range: a fractional or out-of-range
      *  value is never cast. */
     int toInt(std::string_view context, std::string_view name) const;
+
+    /** @return this number as an unsigned 64-bit integer (indices,
+     *  seeds, cycle counts), read from exact_uint.  fatal()s, naming
+     *  the value as toInt() does, unless it is a plain integer
+     *  literal in [0, 2^64): a negative, fractional or exponent-form
+     *  value, or one above 2^53 that only a double carries, is never
+     *  cast. */
+    uint64_t toUint(std::string_view context,
+                    std::string_view name) const;
 };
 
 /**

@@ -49,6 +49,34 @@ numberField(const JsonValue &row, const std::string &key,
     return v->num;
 }
 
+/** An int field read exactly: a fractional or out-of-range value
+ *  is a FatalError, never a cast. */
+int
+intField(const JsonValue &row, const std::string &key,
+         bool required = true, int fallback = 0)
+{
+    const JsonValue *v = row.find(key);
+    if (!v) {
+        fatalIf(required, "sweep row is missing '", key, "'");
+        return fallback;
+    }
+    return v->toInt("sweep row field", key);
+}
+
+/** An index, cycle count or counter, read exactly (see
+ *  JsonValue::toUint); 0 when optional and absent. */
+uint64_t
+countField(const JsonValue &row, const std::string &key,
+           bool required = true)
+{
+    const JsonValue *v = row.find(key);
+    if (!v) {
+        fatalIf(required, "sweep row is missing '", key, "'");
+        return 0;
+    }
+    return v->toUint("sweep row field", key);
+}
+
 std::string
 stringField(const JsonValue &row, const std::string &key)
 {
@@ -591,7 +619,7 @@ parseSweepRowLine(const std::string &line)
     JsonValue doc = parseJson(line);
     fatalIf(!doc.isObject(), "sweep row line is not an object");
     SweepPoint p;
-    p.index = static_cast<size_t>(numberField(doc, "index"));
+    p.index = countField(doc, "index");
     const JsonValue *row = doc.find("row");
     fatalIf(!row || !row->isObject(),
             "sweep row line is missing the 'row' object");
@@ -599,31 +627,24 @@ parseSweepRowLine(const std::string &line)
     p.backend = stringField(*row, "backend");
     p.metrics.backend = p.backend;
     p.metrics.code = parseCodeKind(stringField(*row, "code"));
-    p.policy = static_cast<int>(numberField(*row, "policy"));
-    p.arbiter = static_cast<int>(numberField(*row, "arbiter"));
-    p.layout_objective =
-        static_cast<int>(numberField(*row, "layout_objective"));
-    p.epr_window = static_cast<int>(
-        numberField(*row, "epr_window", false, -1));
-    p.metrics.code_distance =
-        static_cast<int>(numberField(*row, "code_distance"));
+    p.policy = intField(*row, "policy");
+    p.arbiter = intField(*row, "arbiter");
+    p.layout_objective = intField(*row, "layout_objective");
+    p.epr_window = intField(*row, "epr_window", false, -1);
+    p.metrics.code_distance = intField(*row, "code_distance");
     p.kq = numberField(*row, "kq", false, 0);
     p.defect = numberField(*row, "defect", false, 0);
-    p.metrics.schedule_cycles = static_cast<uint64_t>(
-        numberField(*row, "schedule_cycles"));
-    p.metrics.critical_path_cycles = static_cast<uint64_t>(
-        numberField(*row, "critical_path_cycles"));
+    p.metrics.schedule_cycles = countField(*row, "schedule_cycles");
+    p.metrics.critical_path_cycles =
+        countField(*row, "critical_path_cycles");
     p.metrics.physical_qubits =
         numberField(*row, "physical_qubits");
     p.metrics.seconds = numberField(*row, "seconds");
     p.wall_ms = numberField(*row, "wall_ms", false, 0);
     p.prepare_ms = numberField(*row, "prepare_ms", false, 0);
-    p.arena_allocs = static_cast<uint64_t>(
-        numberField(*row, "arena_allocs", false, 0));
-    p.arena_bytes = static_cast<uint64_t>(
-        numberField(*row, "arena_bytes", false, 0));
-    p.heap_allocs = static_cast<uint64_t>(
-        numberField(*row, "heap_allocs", false, 0));
+    p.arena_allocs = countField(*row, "arena_allocs", false);
+    p.arena_bytes = countField(*row, "arena_bytes", false);
+    p.heap_allocs = countField(*row, "heap_allocs", false);
     if (const JsonValue *extras = row->find("extras")) {
         fatalIf(!extras->isObject(),
                 "sweep row 'extras' is not an object");
@@ -685,9 +706,7 @@ loadSweepRows(const std::string &path, const SweepGrid &grid,
         const JsonValue *t = header.find("title");
         if (!stream || !stream->isString()
             || stream->str != kRowsStreamName || !fp
-            || !fp->isNumber()
-            || fp->num
-                != static_cast<double>(sweepGridFingerprint(grid))
+            || fp->exact_uint != sweepGridFingerprint(grid)
             || !n || !n->isNumber()
             || n->num != static_cast<double>(grid.points()) || !t
             || !t->isString() || t->str != title) {

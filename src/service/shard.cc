@@ -5,9 +5,13 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
 #include <poll.h>
 #include <signal.h>
@@ -39,42 +43,14 @@ jsonError(const std::string &message)
     return os.str();
 }
 
-/** Per-point completion bitmap as a hex string, one nibble per four
- *  points (point 4k+j is bit j of digit k) — compact enough to ride
- *  inside every ShardAssign. */
-std::string
-encodeDoneHex(const std::vector<uint8_t> &done)
+/** Threads a worker running @p opts computes with, one assignment
+ *  each; its Hello announces the count. */
+size_t
+workerThreads(const SweepOptions &opts)
 {
-    static const char digits[] = "0123456789abcdef";
-    std::string out((done.size() + 3) / 4, '0');
-    for (size_t k = 0; k < out.size(); ++k) {
-        int v = 0;
-        for (int j = 0; j < 4; ++j) {
-            size_t i = k * 4 + static_cast<size_t>(j);
-            if (i < done.size() && done[i])
-                v |= 1 << j;
-        }
-        out[k] = digits[v];
-    }
-    return out;
-}
-
-void
-decodeDoneHex(const std::string &hex, std::vector<uint8_t> &done)
-{
-    for (size_t k = 0; k < hex.size(); ++k) {
-        char c = hex[k];
-        int v = c >= '0' && c <= '9' ? c - '0'
-            : c >= 'a' && c <= 'f'   ? c - 'a' + 10
-            : c >= 'A' && c <= 'F'   ? c - 'A' + 10
-                                     : -1;
-        fatalIf(v < 0, "malformed done bitmap in ShardAssign");
-        for (int j = 0; j < 4; ++j) {
-            size_t i = k * 4 + static_cast<size_t>(j);
-            if (i < done.size() && (v & (1 << j)))
-                done[i] = 1;
-        }
-    }
+    return static_cast<size_t>(opts.num_threads >= 1
+                                   ? opts.num_threads
+                                   : engine::defaultThreads());
 }
 
 /**
@@ -82,7 +58,7 @@ decodeDoneHex(const std::string &hex, std::vector<uint8_t> &done)
  * _exit without returning to the caller's stack (a forked child must
  * not run the parent's destructors or flush its inherited stdio
  * buffers).  Exit 0 means an orderly Shutdown; 1 means the parent
- * vanished or the slice failed.
+ * vanished or an assignment failed.
  */
 [[noreturn]] void
 workerMain(int fd, const SweepGrid &grid,
@@ -107,15 +83,19 @@ struct WorkerProc
 {
     pid_t pid = -1; ///< -1 for remote workers (not our child).
     int fd = -1;
-    int slot = -1;     ///< Fleet slot (>= R for respawns).
+    int slot = -1;     ///< Fleet slot (>= width for respawns).
     bool remote = false;
+    bool dead = false;
+    /** Assignments it runs at once: its thread count, which a
+     *  remote's Hello names (1 until that arrives). */
+    size_t threads = 1;
     std::string spec;  ///< Remote "host:port" (diagnostics).
     std::string buf;   ///< Undecoded bytes read so far.
-    std::vector<size_t> residues; ///< Residue classes it owns now.
-    bool busy = false; ///< Owes rows / Done for its slice.
-    bool dead = false;
-    bool killed_by_us = false; ///< Fault injection / stall kill.
+    /** Open assignments by id: the points it owes rows and a Done
+     *  for. */
+    std::map<uint64_t, std::vector<size_t>> assigned;
     uint64_t merged_rows = 0;  ///< Its rows the parent has merged.
+    double busy_s = 0;         ///< Their prepare + run time.
     std::chrono::steady_clock::time_point last_frame;
 };
 
@@ -162,6 +142,7 @@ serveSweepWorker(int fd, const SweepWorkerEnv &env)
 {
     const engine::Registry &registry =
         env.registry ? *env.registry : engine::Registry::global();
+    size_t threads = workerThreads(env.base);
 
     {
         std::ostringstream os;
@@ -170,6 +151,7 @@ serveSweepWorker(int fd, const SweepWorkerEnv &env)
         j.field("service", "qsurf-sweep-worker");
         j.field("version", static_cast<uint64_t>(wire::kVersion));
         j.field("slot", env.slot);
+        j.field("threads", static_cast<uint64_t>(threads));
         j.endObject();
         if (!wire::writeFrame(fd, wire::FrameType::Hello, os.str())
                  .ok())
@@ -177,22 +159,58 @@ serveSweepWorker(int fd, const SweepWorkerEnv &env)
     }
 
     // The grid: inherited memory for forked workers, decoded off the
-    // first ShardAssign for remote ones (and kept for later slices).
+    // first ShardAssign for remote ones and kept (later copies are
+    // ignored; the fingerprint check below still covers them).
     SweepGrid decoded;
     const SweepGrid *grid = env.grid;
+    uint64_t grid_fp = grid ? engine::sweepGridFingerprint(*grid) : 0;
 
-    for (;;) {
-        wire::Frame frame;
-        wire::IoResult r = wire::readFrame(fd, frame);
-        if (!r.ok())
-            return false; // Parent vanished (or sent garbage).
-        if (frame.type == wire::FrameType::Shutdown)
+    // `threads` threads take turns reading the connection: whichever
+    // is free reads the next assignment and runs it itself, so a slow
+    // point holds up only its own thread, and one thread is simply a
+    // read-run loop on the caller's thread.  Frames from different
+    // threads never interleave.
+    std::mutex read_mutex;
+    bool closing = false; // Guarded by read_mutex.
+    bool orderly = false; // Guarded by read_mutex.
+    std::mutex write_mutex;
+    // Set once a write fails (the parent vanished) or an assignment
+    // fails: threads skip their remaining points instead of computing
+    // rows nobody will read.
+    std::atomic<bool> failed{false};
+    auto send = [&](wire::FrameType type, const std::string &payload) {
+        std::lock_guard<std::mutex> lock(write_mutex);
+        if (failed.load())
+            return false;
+        if (wire::writeFrame(fd, type, payload).ok())
             return true;
+        failed.store(true);
+        return false;
+    };
+    auto fail = [&](const std::string &message) {
+        send(wire::FrameType::Error, jsonError(message));
+        failed.store(true);
+    };
+
+    /** Read and decode the next assignment into @p selected / @p id;
+     *  @return false when this connection is finished.  Runs under
+     *  read_mutex, so only one thread touches the grid. */
+    auto nextAssignment = [&](std::vector<uint8_t> &selected,
+                              uint64_t &id) {
+        wire::Frame frame;
+        if (!wire::readFrame(fd, frame).ok()) {
+            failed.store(true); // Parent vanished (or sent garbage).
+            return false;
+        }
+        if (frame.type == wire::FrameType::Shutdown) {
+            orderly = true;
+            return false;
+        }
+        if (failed.load())
+            return false;
         if (frame.type != wire::FrameType::ShardAssign) {
-            wire::writeFrame(
-                fd, wire::FrameType::Error,
-                jsonError(std::string("expected ShardAssign, got ")
-                          + wire::frameTypeName(frame.type)));
+            fail(std::string("expected ShardAssign, got ")
+                 + wire::frameTypeName(frame.type));
             return false;
         }
         try {
@@ -204,104 +222,101 @@ serveSweepWorker(int fd, const SweepWorkerEnv &env)
                         "inherited");
                 decoded = wire::decodeSweepGrid(g->str);
                 grid = &decoded;
+                grid_fp = engine::sweepGridFingerprint(decoded);
             }
-            const JsonValue *workers = doc.find("workers");
             const JsonValue *points = doc.find("points");
-            const JsonValue *residues = doc.find("residues");
-            fatalIf(!workers || !points || !residues
-                        || !residues->isArray(),
+            const JsonValue *indices = doc.find("indices");
+            fatalIf(!points || !indices || !indices->isArray(),
                     "malformed ShardAssign payload");
-            int n = workers->toInt("ShardAssign", "workers");
-            fatalIf(n < 1, "ShardAssign names a fleet of ", n);
             // Everything below is sized by this worker's own grid,
             // never by a number off the wire.
             size_t total = grid->points();
-            int claimed = points->toInt("ShardAssign", "points");
-            fatalIf(static_cast<size_t>(claimed) != total,
-                    "ShardAssign counts ", claimed,
+            uint64_t claimed = points->toUint("ShardAssign", "points");
+            fatalIf(claimed != total, "ShardAssign counts ", claimed,
                     " points; this worker's grid has ", total);
-            // Residue r >= total owns no point, so the mask stops at
-            // min(workers, points).
-            std::vector<uint8_t> mask(
-                std::min(static_cast<size_t>(n), total), 0);
-            for (const JsonValue &rv : residues->items) {
-                int r_class = rv.toInt("ShardAssign", "residues");
-                fatalIf(r_class < 0 || r_class >= n,
-                        "ShardAssign names residue ", r_class, " of ",
-                        n);
-                if (static_cast<size_t>(r_class) < mask.size())
-                    mask[static_cast<size_t>(r_class)] = 1;
+            // A repeated index runs once.
+            selected.assign(total, 0);
+            for (const JsonValue &iv : indices->items) {
+                uint64_t i = iv.toUint("ShardAssign", "index");
+                fatalIf(i >= total, "ShardAssign names index ", i,
+                        ", outside this worker's ", total,
+                        "-point grid");
+                selected[i] = 1;
             }
-            std::vector<uint8_t> done(total, 0);
-            if (const JsonValue *d = doc.find("done");
-                d && d->isString())
-                decodeDoneHex(d->str, done);
+            const JsonValue *id_field = doc.find("id");
+            id = id_field ? id_field->toUint("ShardAssign", "id") : 0;
             // The assignment names what it believes this worker is
             // running; a mismatch means the processes disagree about
             // the experiment (codec drift, stale remote binary).
             const JsonValue *fp = doc.find("grid_fingerprint");
-            fatalIf(fp && fp->isNumber()
-                        && fp->num
-                            != static_cast<double>(
-                                engine::sweepGridFingerprint(*grid)),
+            fatalIf(fp
+                        && fp->toUint("ShardAssign", "grid_fingerprint")
+                            != grid_fp,
                     "ShardAssign grid fingerprint does not match "
                     "this worker's grid");
-
-            // When the parent dies mid-slice the row write fails;
-            // skip the remaining points instead of computing rows
-            // nobody will read.
-            std::atomic<bool> write_failed{false};
-            std::atomic<uint64_t> rows{0};
-            SweepOptions opts = env.base;
-            opts.json_path.clear();
-            opts.rows_path.clear();
-            opts.stream_rows = false;
-            opts.resume = false;
-            opts.trace = nullptr;
-            opts.metrics = nullptr;
-            opts.heap_alloc_counter = nullptr;
-            opts.point_filter = [&mask, &done, n,
-                                 &write_failed](size_t i) {
-                if (write_failed.load(std::memory_order_relaxed))
-                    return false;
-                size_t r_class = i % static_cast<size_t>(n);
-                return r_class < mask.size() && mask[r_class]
-                    && !done[i];
-            };
-            // on_row runs under the driver's row lock, so frames
-            // from a multi-threaded worker never interleave.
-            opts.on_row = [fd, &rows, &write_failed](
-                              const SweepPoint &,
-                              std::string_view line) {
-                if (write_failed.load(std::memory_order_relaxed))
-                    return;
-                if (!wire::writeFrame(fd, wire::FrameType::Row,
-                                      std::string(line))
-                         .ok())
-                    write_failed.store(true,
-                                       std::memory_order_relaxed);
-                else
-                    ++rows;
-            };
-            engine::SweepDriver(registry).run(*grid, opts);
-            if (write_failed.load())
-                return false;
-
-            std::ostringstream os;
-            JsonWriter j(os, /*compact=*/true);
-            j.beginObject();
-            j.field("rows", rows.load());
-            j.endObject();
-            if (!wire::writeFrame(fd, wire::FrameType::Done,
-                                  os.str())
-                     .ok())
-                return false;
         } catch (const std::exception &e) {
-            wire::writeFrame(fd, wire::FrameType::Error,
-                             jsonError(e.what()));
+            fail(e.what());
             return false;
         }
-    }
+        return true;
+    };
+
+    auto run = [&](const std::vector<uint8_t> &selected, uint64_t id) {
+        uint64_t rows = 0;
+        SweepOptions opts = env.base;
+        opts.num_threads = 1;
+        opts.json_path.clear();
+        opts.rows_path.clear();
+        opts.stream_rows = false;
+        opts.resume = false;
+        opts.trace = nullptr;
+        opts.metrics = nullptr;
+        opts.heap_alloc_counter = nullptr;
+        opts.point_filter = [&](size_t i) {
+            return !failed.load(std::memory_order_relaxed)
+                && selected[i];
+        };
+        opts.on_row = [&](const SweepPoint &, std::string_view line) {
+            if (send(wire::FrameType::Row, std::string(line)))
+                ++rows;
+        };
+        try {
+            engine::SweepDriver(registry).run(*grid, opts);
+        } catch (const std::exception &e) {
+            fail(e.what());
+            return;
+        }
+        std::ostringstream os;
+        JsonWriter j(os, /*compact=*/true);
+        j.beginObject();
+        j.field("id", id);
+        j.field("rows", rows);
+        j.endObject();
+        send(wire::FrameType::Done, os.str());
+    };
+
+    auto serve = [&] {
+        std::vector<uint8_t> selected;
+        uint64_t id = 0;
+        for (;;) {
+            {
+                std::lock_guard<std::mutex> lock(read_mutex);
+                if (closing || failed.load()
+                    || !nextAssignment(selected, id)) {
+                    closing = true;
+                    return;
+                }
+            }
+            run(selected, id);
+        }
+    };
+    std::vector<std::thread> helpers;
+    for (size_t t = 1; t < threads; ++t)
+        helpers.emplace_back(serve);
+    serve();
+    for (std::thread &t : helpers)
+        t.join();
+    return orderly && !failed.load();
 }
 
 std::vector<SweepPoint>
@@ -412,13 +427,32 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
         return points;
     }
 
+    // The queue of chunks.  A chunk is a run of consecutive indices
+    // sharing the grid's three outermost axes (app, size, distance):
+    // only such points can share a prepare artifact, so one thread
+    // builds it.  A grid with fewer such blocks than twice the fleet
+    // width goes out a point at a time, so every worker gets work.
+    size_t blocks =
+        grid.apps.size() * grid.sizes.size() * grid.distances.size();
+    size_t chunk_len =
+        blocks < 2 * width ? 1 : points.size() / blocks;
+    std::deque<std::vector<size_t>> queue;
+    for (size_t first = 0; first < points.size(); first += chunk_len) {
+        std::vector<size_t> chunk;
+        for (size_t i = first; i < first + chunk_len; ++i)
+            if (!done[i])
+                chunk.push_back(i);
+        if (!chunk.empty())
+            queue.push_back(std::move(chunk));
+    }
+
     uint64_t grid_fp = engine::sweepGridFingerprint(grid);
+    size_t local_threads = workerThreads(opts.sweep);
     std::vector<WorkerProc> fleet;
     fleet.reserve(width);
     FleetGuard guard{fleet};
-    std::vector<size_t> orphans; ///< Residue classes awaiting a worker.
 
-    auto spawnLocal = [&](int slot) -> size_t {
+    auto spawnLocal = [&](int slot) {
         int sv[2];
         fatalIf(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0,
                 "socketpair() failed: ", std::strerror(errno));
@@ -437,10 +471,10 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
         w.pid = pid;
         w.fd = sv[0];
         w.slot = slot;
+        w.threads = local_threads;
         w.last_frame = std::chrono::steady_clock::now();
         fleet.push_back(std::move(w));
         ++stats.workers_started;
-        return fleet.size() - 1;
     };
 
     if (opts.local_tcp && n_local > 0) {
@@ -465,6 +499,7 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
             WorkerProc w;
             w.pid = pid;
             w.slot = static_cast<int>(k);
+            w.threads = local_threads;
             w.last_frame = std::chrono::steady_clock::now();
             fleet.push_back(std::move(w));
             ++stats.workers_started;
@@ -479,13 +514,12 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
                     "tcp worker connected without a Hello");
             JsonValue doc = parseJson(hello.payload);
             const JsonValue *slot = doc.find("slot");
-            fatalIf(!slot || !slot->isNumber(),
-                    "tcp worker Hello names no slot");
-            auto s = static_cast<size_t>(slot->num);
-            fatalIf(s >= n_local || fleet[s].fd >= 0,
-                    "tcp worker Hello names bogus slot ",
-                    slot->num);
-            fleet[s].fd = cfd;
+            fatalIf(!slot, "tcp worker Hello names no slot");
+            int s = slot->toInt("tcp worker Hello", "slot");
+            fatalIf(s < 0 || static_cast<size_t>(s) >= n_local
+                        || fleet[static_cast<size_t>(s)].fd >= 0,
+                    "tcp worker Hello names bogus slot ", s);
+            fleet[static_cast<size_t>(s)].fd = cfd;
         }
     } else {
         for (size_t k = 0; k < n_local; ++k)
@@ -503,8 +537,8 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
         stats.connect_retries += retries;
         if (w.fd < 0) {
             warn("sweep worker '", w.spec,
-                 "' is unreachable; its slice falls back to the "
-                 "local fleet");
+                 "' is unreachable; the rest of the fleet takes its "
+                 "share");
             w.dead = true;
             ++stats.worker_failures;
             stats.degraded = true;
@@ -520,26 +554,21 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
         fatal(msg);
     };
 
-    auto residueOpenPoints = [&](size_t r) {
-        size_t open = 0;
-        for (size_t i = r; i < points.size(); i += width)
+    /** Put the unfinished points of one assignment back at the front
+     *  of the queue (finished ones are dropped — their rows are
+     *  merged); @return how many went back. */
+    auto requeue = [&](const std::vector<size_t> &assignment) {
+        std::vector<size_t> open;
+        for (size_t i : assignment)
             if (!done[i])
-                ++open;
-        return open;
-    };
-
-    /** Return a worker's unfinished residue classes to the orphan
-     *  pool (finished ones are dropped — their rows are on disk). */
-    auto orphanResidues = [&](WorkerProc &w) {
-        for (size_t r : w.residues) {
-            size_t open = residueOpenPoints(r);
-            if (open) {
-                orphans.push_back(r);
-                stats.points_reassigned += open;
-            }
+                open.push_back(i);
+        size_t n = open.size();
+        if (n) {
+            stats.points_reassigned += n;
+            ++stats.reassignments;
+            queue.push_front(std::move(open));
         }
-        w.residues.clear();
-        w.busy = false;
+        return n;
     };
 
     auto markDead = [&](WorkerProc &w, const std::string &why) {
@@ -559,74 +588,119 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
         w.buf.clear();
         ++stats.worker_failures;
         stats.degraded = true;
-        size_t lost = w.residues.size();
-        orphanResidues(w);
+        // Newest first, so the oldest ends up at the very front.
+        size_t lost = 0;
+        for (auto it = w.assigned.rbegin(); it != w.assigned.rend();
+             ++it)
+            lost += requeue(it->second);
+        w.assigned.clear();
         warn("sweep worker ", w.slot,
              w.spec.empty() ? std::string()
                             : " ('" + w.spec + "')",
              " lost (", why, "); ", lost,
-             " residue class(es) orphaned for reassignment");
+             " unfinished point(s) requeued");
     };
 
-    /** Hand @p slice to @p w over the wire.  A write failure marks
-     *  the worker dead and re-orphans the slice. */
-    auto assignSlice = [&](WorkerProc &w,
-                           std::vector<size_t> slice) {
-        w.residues = std::move(slice);
-        w.busy = true;
+    // Fault injection kills the worker when its Nth row arrives and
+    // drops that row, so the death always orphans at least its point
+    // whichever chunk boundary N lands on.
+    bool fault_pending = opts.fault_kill_worker >= 0;
+    auto fault_at_row = static_cast<uint64_t>(
+        std::max(1, opts.fault_kill_after_rows));
+    auto injectFault = [&](WorkerProc &w) {
+        if (!fault_pending || w.slot != opts.fault_kill_worker
+            || w.pid <= 0 || w.merged_rows + 1 < fault_at_row)
+            return false;
+        fault_pending = false;
+        inform("sharded sweep: fault injection killing worker ",
+               w.slot, " at its row ", fault_at_row);
+        markDead(w, "fault injection");
+        return true;
+    };
+
+    /** Hand worker @p w the front chunk as a new assignment.  A write
+     *  failure marks it dead, which puts the chunk back. */
+    uint64_t next_id = 0;
+    auto assign = [&](WorkerProc &w) {
+        uint64_t id = next_id++;
+        const std::vector<size_t> &chunk = w.assigned[id] =
+            std::move(queue.front());
+        queue.pop_front();
         w.last_frame = std::chrono::steady_clock::now();
         std::ostringstream os;
         JsonWriter j(os, /*compact=*/true);
         j.beginObject();
-        j.field("worker", static_cast<uint64_t>(w.slot));
-        j.field("workers", static_cast<uint64_t>(width));
         j.field("grid_fingerprint", grid_fp);
         j.field("points", static_cast<uint64_t>(points.size()));
-        j.key("residues");
+        j.field("id", id);
+        j.key("indices");
         j.beginArray();
-        for (size_t r : w.residues)
-            j.value(static_cast<uint64_t>(r));
+        for (size_t i : chunk)
+            j.value(static_cast<uint64_t>(i));
         j.endArray();
-        j.field("done", encodeDoneHex(done));
         if (w.remote)
             j.field("grid", grid_json);
         j.endObject();
         wire::IoResult res = wire::writeFrame(
             w.fd, wire::FrameType::ShardAssign, os.str());
         if (!res.ok())
-            markDead(w, "assigning its slice failed: "
+            markDead(w, "assigning points failed: "
                             + res.describe());
     };
 
-    // Initial dispatch: the deterministic modulo partition plus
-    // per-point seeding means each worker's rows are exactly what a
-    // single-process run produces for those indices.
-    for (size_t k = 0; k < width; ++k) {
-        if (fleet[k].fd >= 0) {
-            assignSlice(fleet[k], {k});
-        } else {
-            size_t open = residueOpenPoints(k);
-            if (open) {
-                orphans.push_back(k);
-                stats.points_reassigned += open;
-            }
-        }
-    }
-
+    auto liveWorkers = [&] {
+        return static_cast<size_t>(std::count_if(
+            fleet.begin(), fleet.end(),
+            [](const WorkerProc &w) { return w.fd >= 0; }));
+    };
     auto anyBusy = [&] {
-        for (const WorkerProc &w : fleet)
-            if (w.fd >= 0 && w.busy)
-                return true;
-        return false;
+        return std::any_of(fleet.begin(), fleet.end(),
+                           [](const WorkerProc &w) {
+                               return w.fd >= 0 && !w.assigned.empty();
+                           });
+    };
+    // A dead remote with redial configured may yet rejoin.
+    auto redialable = [&] {
+        return opts.remote_redial_interval_sec > 0
+            && std::any_of(fleet.begin(), fleet.end(),
+                           [](const WorkerProc &w) {
+                               return w.remote && w.dead && w.fd < 0;
+                           });
     };
 
-    auto mergeRow = [&](const std::string &line) {
+    size_t restarts_used = 0;
+    auto max_restarts =
+        static_cast<size_t>(std::max(0, opts.max_worker_restarts));
+
+    /** Replace lost workers while queued work and the restart budget
+     *  remain, then hand the front chunk to every free thread. */
+    auto dispatch = [&] {
+        while (!queue.empty()) {
+            if (liveWorkers() < width && restarts_used < max_restarts) {
+                int slot = static_cast<int>(width + restarts_used);
+                ++restarts_used;
+                ++stats.worker_restarts;
+                spawnLocal(slot);
+                inform("sharded sweep: respawned worker ", slot,
+                       " to replace a lost one");
+                continue;
+            }
+            auto idle = std::find_if(
+                fleet.begin(), fleet.end(), [](const WorkerProc &w) {
+                    return w.fd >= 0 && w.assigned.size() < w.threads;
+                });
+            if (idle == fleet.end())
+                return;
+            assign(*idle);
+        }
+    };
+
+    auto mergeRow = [&](const std::string &line, WorkerProc &from) {
         SweepPoint row = engine::parseSweepRowLine(line);
         fatalIf(row.index >= points.size(),
                 "worker row names out-of-range index ", row.index);
-        // Duplicates happen when a killed worker's buffered rows
-        // land after its residue was reassigned; the bytes are
-        // identical by construction, so first-wins is exact.
+        // Every worker's row for an index is byte-identical by
+        // construction, so dropping a repeat is exact.
         if (done[row.index])
             return;
         SweepPoint &dst = points[row.index];
@@ -657,22 +731,19 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
         dst.kq = kq;
         done[dst.index] = 1;
         --remaining;
+        from.busy_s += (dst.prepare_ms + dst.wall_ms) / 1e3;
     };
 
-    size_t restarts_used = 0;
-    auto max_restarts =
-        static_cast<size_t>(std::max(0, opts.max_worker_restarts));
-    bool fault_pending = opts.fault_kill_worker >= 0;
     auto last_progress = std::chrono::steady_clock::now();
     auto last_redial = last_progress;
 
     while (remaining > 0 || anyBusy()) {
-        // Redial dead remote workers while orphaned work exists: a
+        // Redial dead remote workers while chunks are queued: a
         // restarted `compile_server --sweep-worker` on the same
-        // address rejoins the fleet here and picks up a slice
-        // through the normal orphan dispatch below.  One connect
-        // attempt per probe — the live fleet must keep draining.
-        if (opts.remote_redial_interval_sec > 0 && !orphans.empty()
+        // address rejoins the fleet here and pulls chunks like any
+        // idle worker.  One connect attempt per probe — the live
+        // fleet must keep draining.
+        if (opts.remote_redial_interval_sec > 0 && !queue.empty()
             && std::chrono::steady_clock::now() - last_redial
                 >= std::chrono::seconds(
                     opts.remote_redial_interval_sec)) {
@@ -687,8 +758,7 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
                     continue;
                 w.fd = fd;
                 w.dead = false;
-                w.busy = false;
-                w.killed_by_us = false;
+                w.threads = 1; // Until the new process's Hello.
                 w.buf.clear();
                 w.last_frame = std::chrono::steady_clock::now();
                 ++stats.remote_redials;
@@ -697,49 +767,16 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
                        "' rejoined the fleet");
             }
         }
-        // Re-dispatch orphaned residue classes: an idle survivor if
-        // one exists, else a respawned local while the restart
-        // budget lasts, else wait for a busy survivor to free up.
-        if (!orphans.empty()) {
-            int idle = -1;
-            for (size_t k = 0; k < fleet.size(); ++k) {
-                if (fleet[k].fd >= 0 && !fleet[k].busy) {
-                    idle = static_cast<int>(k);
-                    break;
-                }
-            }
-            if (idle < 0 && restarts_used < max_restarts) {
-                int slot =
-                    static_cast<int>(width + restarts_used);
-                ++restarts_used;
-                idle = static_cast<int>(spawnLocal(slot));
-                ++stats.worker_restarts;
-                inform("sharded sweep: respawned worker ", slot,
-                       " to absorb ", orphans.size(),
-                       " orphaned residue class(es)");
-            }
-            if (idle >= 0) {
-                ++stats.reassignments;
-                std::vector<size_t> slice = std::move(orphans);
-                orphans.clear();
-                assignSlice(fleet[static_cast<size_t>(idle)],
-                            std::move(slice));
-            } else if (!anyBusy()) {
-                // A dead remote with redial configured may yet
-                // rejoin; only a fleet with no such hope is
-                // unrecoverable.
-                bool redialable = false;
-                if (opts.remote_redial_interval_sec > 0)
-                    for (const WorkerProc &w : fleet)
-                        if (w.remote && w.dead && w.fd < 0)
-                            redialable = true;
-                if (!redialable)
-                    fail("sharded sweep unrecoverable: "
-                         + std::to_string(remaining)
-                         + " points remain with no live workers "
-                           "and the restart budget exhausted");
-            }
-        }
+        dispatch();
+        if (!queue.empty() && liveWorkers() == 0 && !redialable())
+            fail("sharded sweep unrecoverable: "
+                 + std::to_string(remaining)
+                 + " points remain with no live workers and the "
+                   "restart budget exhausted");
+        if (remaining > 0 && queue.empty() && !anyBusy())
+            fail("internal: sharded sweep lost track of "
+                 + std::to_string(remaining)
+                 + " unfinished points");
 
         std::vector<pollfd> fds;
         std::vector<size_t> owner;
@@ -750,14 +787,10 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
             }
         }
         if (fds.empty()) {
-            if (remaining > 0 && orphans.empty())
-                fail("internal: sharded sweep lost track of "
-                     + std::to_string(remaining)
-                     + " unfinished points");
-            // Nothing to poll: everyone is dead and the orphans
-            // wait on a redial probe.  Sleep instead of spinning,
-            // and keep the hang guard armed — a remote that never
-            // comes back must not wedge the sweep.
+            // Everyone is dead and the queue waits on a redial
+            // probe.  Sleep instead of spinning, and keep the hang
+            // guard armed — a remote that never comes back must not
+            // wedge the sweep.
             if (opts.idle_timeout_sec > 0
                 && std::chrono::steady_clock::now() - last_progress
                     > std::chrono::seconds(opts.idle_timeout_sec))
@@ -793,8 +826,8 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
             WorkerProc &w = fleet[owner[i]];
             if (w.fd < 0)
                 continue;
-            char chunk[64 * 1024];
-            ssize_t n = ::read(w.fd, chunk, sizeof(chunk));
+            char bytes[64 * 1024];
+            ssize_t n = ::read(w.fd, bytes, sizeof(bytes));
             if (n < 0) {
                 if (errno == EINTR)
                     continue;
@@ -811,7 +844,7 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
                                 : "closed mid-frame");
                 continue;
             }
-            w.buf.append(chunk, static_cast<size_t>(n));
+            w.buf.append(bytes, static_cast<size_t>(n));
             w.last_frame = now;
             last_progress = now;
             while (w.fd >= 0) {
@@ -830,73 +863,64 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
                 }
                 w.buf.erase(0, consumed);
                 switch (frame.type) {
-                  case wire::FrameType::Hello: {
-                    const JsonValue *svc = nullptr;
+                  case wire::FrameType::Hello:
+                    // Its thread count is how many chunks it runs at
+                    // once; a worker that names none runs one.
                     try {
                         JsonValue doc = parseJson(frame.payload);
-                        svc = doc.find("service");
+                        const JsonValue *svc = doc.find("service");
+                        const JsonValue *t = doc.find("threads");
                         if (svc && svc->isString()
                             && svc->str != "qsurf-sweep-worker")
                             markDead(w, "peer is a '" + svc->str
                                             + "', not a sweep "
                                               "worker");
+                        else if (t)
+                            w.threads = std::max<uint64_t>(
+                                1, t->toUint("sweep worker Hello",
+                                             "threads"));
                     } catch (const FatalError &) {
                         markDead(w, "sent an unparseable Hello");
                     }
                     break;
-                  }
                   case wire::FrameType::Row:
+                    // The row, and any behind it, dies with the
+                    // worker: what a mid-compute crash looks like.
+                    if (injectFault(w))
+                        break;
                     try {
-                        mergeRow(frame.payload);
+                        mergeRow(frame.payload, w);
                     } catch (const FatalError &) {
                         killFleet(fleet);
                         guard.armed = false;
                         throw;
                     }
                     ++w.merged_rows;
-                    if (fault_pending
-                        && w.slot == opts.fault_kill_worker
-                        && w.pid > 0
-                        && w.merged_rows
-                            >= static_cast<uint64_t>(std::max(
-                                0, opts.fault_kill_after_rows))) {
-                        fault_pending = false;
-                        w.killed_by_us = true;
-                        inform("sharded sweep: fault injection "
-                               "killing worker ",
-                               w.slot, " after ", w.merged_rows,
-                               " merged rows");
-                        // Deterministic death: rows it already
-                        // buffered are dropped with it (exactly
-                        // what a mid-compute crash looks like), so
-                        // the orphaned remainder of its slice is
-                        // the same at any scheduling.
-                        markDead(w, "fault injection");
-                    }
                     break;
                   case wire::FrameType::Done: {
-                    w.busy = false;
-                    // Defensive: a Done with unfinished assigned
-                    // points would deadlock the sweep; requeue them
-                    // instead of trusting the worker.
-                    std::vector<size_t> leftover;
-                    for (size_t r : w.residues)
-                        if (residueOpenPoints(r))
-                            leftover.push_back(r);
-                    if (!leftover.empty()) {
-                        warn("sweep worker ", w.slot,
-                             " finished its slice with ",
-                             leftover.size(),
-                             " residue class(es) incomplete; "
-                             "requeueing them");
-                        stats.degraded = true;
-                        for (size_t r : leftover) {
-                            orphans.push_back(r);
-                            stats.points_reassigned +=
-                                residueOpenPoints(r);
-                        }
+                    auto it = w.assigned.end();
+                    try {
+                        JsonValue doc = parseJson(frame.payload);
+                        if (const JsonValue *id = doc.find("id"))
+                            it = w.assigned.find(
+                                id->toUint("sweep worker Done", "id"));
+                    } catch (const FatalError &) {
                     }
-                    w.residues.clear();
+                    if (it == w.assigned.end()) {
+                        markDead(w, "sent a Done for no open "
+                                    "assignment");
+                        break;
+                    }
+                    // Defensive: a Done with unfinished points would
+                    // deadlock the sweep; requeue them instead of
+                    // trusting the worker.
+                    if (size_t left = requeue(it->second)) {
+                        warn("sweep worker ", w.slot,
+                             " finished an assignment with ", left,
+                             " point(s) incomplete; requeueing them");
+                        stats.degraded = true;
+                    }
+                    w.assigned.erase(it);
                     break;
                   }
                   case wire::FrameType::Error: {
@@ -922,17 +946,15 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
         }
         if (opts.worker_stall_timeout_sec > 0) {
             for (WorkerProc &w : fleet) {
-                if (w.fd >= 0 && w.busy
+                if (w.fd >= 0 && !w.assigned.empty()
                     && now - w.last_frame
                         > std::chrono::seconds(
-                            opts.worker_stall_timeout_sec)) {
-                    w.killed_by_us = true;
+                            opts.worker_stall_timeout_sec))
                     markDead(w,
                              "stalled for "
                                  + std::to_string(
                                      opts.worker_stall_timeout_sec)
                                  + "s");
-                }
             }
         }
     }
@@ -964,6 +986,8 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
         }
     }
     guard.armed = false;
+    for (const WorkerProc &w : fleet)
+        stats.worker_busy_s.push_back(w.busy_s);
 
     fatalIf(remaining != 0, "sharded sweep finished with ",
             remaining, " points unaccounted for");

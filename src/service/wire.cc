@@ -194,20 +194,12 @@ integer(const JsonValue &obj, const std::string &key, int fallback)
 }
 
 /** @return unsigned 64-bit field @p key exactly (seeds, cycle
- *  counts), or @p fallback when absent.  fatal()s unless it is a
- *  plain integer literal in [0, 2^64): a negative, fractional or
- *  out-of-range value, or one only a double carries (above 2^53 it
- *  has already lost bits), is never cast. */
+ *  counts; see JsonValue::toUint), or @p fallback when absent. */
 uint64_t
 count(const JsonValue &obj, const std::string &key, uint64_t fallback)
 {
     const JsonValue *v = obj.find(key);
-    if (!v)
-        return fallback;
-    if (!v->exact_uint)
-        fatal("wire field '", key,
-              "' is not an unsigned 64-bit integer literal");
-    return *v->exact_uint;
+    return v ? v->toUint("wire field", key) : fallback;
 }
 
 bool

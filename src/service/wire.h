@@ -65,8 +65,8 @@ enum class FrameType : uint16_t
     Response = 3,    ///< CompileResponse (server -> client).
     Telemetry = 4,   ///< Stats query (empty up, stats JSON down).
     Row = 5,         ///< One sweep row line (shard worker -> parent).
-    ShardAssign = 6, ///< Shard slice assignment (parent -> worker).
-    Done = 7,        ///< End of a worker's slice / shutdown ack.
+    ShardAssign = 6, ///< A chunk of point indices (parent -> worker).
+    Done = 7,        ///< End of one assignment / shutdown ack.
     Error = 8,       ///< Failure description, then stream continues.
     Shutdown = 9,    ///< Client asks the server loop to return.
 };

@@ -190,6 +190,7 @@ TEST(Sweep, WritesParseableJson)
     ss << in.rdbuf();
     std::string json = ss.str();
     std::remove(path.c_str());
+    std::remove((path + ".rows").c_str());
 
     for (const char *needle :
          {"\"title\"", "\"sweep \\\"test\\\"\"", "\"results\"",
@@ -218,6 +219,118 @@ TEST(Sweep, LabelOverridesAppName)
     auto results = SweepDriver().run(grid);
     ASSERT_EQ(results.size(), 1u);
     EXPECT_EQ(results[0].app_name, "my-workload");
+}
+
+/** @return @p line with the number after @p key replaced by
+ *  @p value (the compact writer's `"key": number` shape). */
+std::string
+withField(const std::string &line, const std::string &key,
+          const std::string &value)
+{
+    std::string tag = "\"" + key + "\": ";
+    size_t at = line.find(tag);
+    EXPECT_NE(at, std::string::npos) << key;
+    at += tag.size();
+    size_t end = line.find_first_of(",}", at);
+    return line.substr(0, at) + value + line.substr(end);
+}
+
+TEST(SweepRows, IntegerFieldsAreReadExactlyOrRejected)
+{
+    SweepPoint p;
+    p.index = 7;
+    p.app_name = "SQ";
+    p.backend = backends::planar;
+    p.policy = 6;
+    p.arbiter = 1;
+    p.layout_objective = 2;
+    p.epr_window = 4;
+    p.metrics.code = qec::CodeKind::Planar;
+    p.metrics.code_distance = 9;
+    // Above 2^53: a double would round these.
+    p.metrics.schedule_cycles = (uint64_t{1} << 60) + 1;
+    p.metrics.critical_path_cycles = (uint64_t{1} << 53) + 1;
+    p.arena_allocs = 5;
+    p.arena_bytes = 6;
+    p.heap_allocs = 7;
+    std::ostringstream os;
+    writeSweepRowLine(os, p);
+    const std::string line = os.str();
+
+    SweepPoint back = parseSweepRowLine(line);
+    EXPECT_EQ(back.index, 7u);
+    EXPECT_EQ(back.policy, 6);
+    EXPECT_EQ(back.arbiter, 1);
+    EXPECT_EQ(back.layout_objective, 2);
+    EXPECT_EQ(back.epr_window, 4);
+    EXPECT_EQ(back.metrics.code_distance, 9);
+    EXPECT_EQ(back.metrics.schedule_cycles, (uint64_t{1} << 60) + 1);
+    EXPECT_EQ(back.metrics.critical_path_cycles,
+              (uint64_t{1} << 53) + 1);
+    EXPECT_EQ(back.arena_allocs, 5u);
+    EXPECT_EQ(back.arena_bytes, 6u);
+    EXPECT_EQ(back.heap_allocs, 7u);
+
+    // Rows arrive from remote workers and resumed files: a huge,
+    // fractional or (for counts) negative value is an error, never
+    // a cast.
+    for (const char *key :
+         {"index", "policy", "arbiter", "layout_objective",
+          "epr_window", "code_distance", "schedule_cycles",
+          "critical_path_cycles", "arena_allocs", "arena_bytes",
+          "heap_allocs"}) {
+        for (const char *value :
+             {"1e300", "-1e300", "2.5", "1e19", "18446744073709551616"})
+            EXPECT_THROW(parseSweepRowLine(withField(line, key, value)),
+                         FatalError)
+                << key << " = " << value;
+    }
+    for (const char *key :
+         {"index", "schedule_cycles", "critical_path_cycles",
+          "arena_allocs", "arena_bytes", "heap_allocs"})
+        EXPECT_THROW(parseSweepRowLine(withField(line, key, "-1")),
+                     FatalError)
+            << key;
+}
+
+TEST(SweepRows, ResumeRejectsAFingerprintOffInItsLowestBit)
+{
+    setQuiet(true);
+    SweepGrid grid;
+    grid.apps = {{apps::AppKind::SQ, {8, 2}, ""}};
+    grid.backends = {backends::planar_model};
+    grid.distances = {5, 7};
+    grid.sizes = {1e6};
+    grid.base.seed = 1234;
+    uint64_t fp = sweepGridFingerprint(grid);
+    // Above 2^54 neighbouring integers share one double, so only an
+    // exact comparison tells the two fingerprints apart.
+    ASSERT_GE(fp, uint64_t{1} << 54);
+
+    std::string path = testing::TempDir() + "/qsurf_fp_rows.jsonl";
+    SweepOptions opts;
+    opts.num_threads = 1;
+    opts.rows_path = path;
+    SweepDriver().run(grid, opts);
+
+    std::ifstream in(path);
+    std::string header, rest, line;
+    ASSERT_TRUE(std::getline(in, header));
+    while (std::getline(in, line))
+        rest += line + "\n";
+    in.close();
+    std::vector<SweepPoint> points = expandSweepPoints(grid);
+    std::vector<uint8_t> done(points.size(), 0);
+    ASSERT_EQ(loadSweepRows(path, grid, "", points, done), 2u);
+
+    std::ofstream(path, std::ios::trunc)
+        << withField(header, "grid_fingerprint",
+                     std::to_string(fp ^ 1))
+        << "\n" << rest;
+    points = expandSweepPoints(grid);
+    done.assign(points.size(), 0);
+    EXPECT_EQ(loadSweepRows(path, grid, "", points, done), 0u);
+    std::remove(path.c_str());
 }
 
 } // namespace
