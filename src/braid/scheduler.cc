@@ -145,7 +145,7 @@ class Simulator
         BraidResult out;
         out.schedule_cycles = cycle;
         out.critical_path_cycles =
-            braidCriticalPath(circ, opts.code_distance);
+            braidCriticalPath(circ, dag, opts.code_distance);
         out.mesh_utilization = mesh.utilization();
         out.braids_placed = braids_placed;
         out.placement_failures = placement_failures;
@@ -575,10 +575,10 @@ class Simulator
 } // namespace
 
 uint64_t
-braidCriticalPath(const circuit::Circuit &circ, int d)
+braidCriticalPath(const circuit::Circuit &circ, const circuit::Dag &dag,
+                  int d)
 {
     fatalIf(d < 1, "code distance must be >= 1, got ", d);
-    circuit::Dag dag(circ);
     std::vector<uint64_t> finish(static_cast<size_t>(circ.size()), 0);
     uint64_t best = 0;
     for (int i = 0; i < circ.size(); ++i) {

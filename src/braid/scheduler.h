@@ -206,8 +206,11 @@ TiledArchOptions braidArchOptions(Policy policy,
  * Dependence-limited critical path of @p circ in braid cycles, using
  * the same latency model as the simulator: 1-qubit ops d, T gates
  * d+1 (factory braid), 2-qubit ops 2d+2 (two braid segments).
+ * @p dag is @p circ's dependence DAG (e.g. BraidPrepared::dag),
+ * built once and shared.
  */
-uint64_t braidCriticalPath(const circuit::Circuit &circ, int d);
+uint64_t braidCriticalPath(const circuit::Circuit &circ,
+                           const circuit::Dag &dag, int d);
 
 /**
  * Simulate braid scheduling of @p circ (which must already be

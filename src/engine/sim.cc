@@ -32,6 +32,23 @@ claimRoute(network::Mesh &mesh, const network::Path &path, int owner,
     return true;
 }
 
+/**
+ * @return true when an owner other than @p owner and @p lent holds
+ * router @p end, which then goes to @p blockers (when non-null) as
+ * the one resource that stops the attempt.
+ */
+bool
+endHeld(const network::Mesh &mesh, const Coord &end, int owner, int lent,
+        network::Blockers *blockers)
+{
+    network::ResourceId busy = mesh.nodeBlocker(end, owner, lent);
+    if (busy == network::Mesh::no_resource)
+        return false;
+    if (blockers)
+        blockers->push_back(busy);
+    return true;
+}
+
 /** The BFS detour, on a fresh working set when @p legacy. */
 std::optional<network::Path>
 detourRoute(const network::Mesh &mesh, const Coord &src,
@@ -51,6 +68,10 @@ RouteClaimer::tryClaim(const Coord &src, const Coord &dst, int owner,
                        int wait, bool yx_first,
                        network::Blockers *blockers)
 {
+    // Every stage's route starts at src and ends at dst.
+    if (endHeld(mesh_, src, owner, network::Mesh::no_owner, blockers)
+        || endHeld(mesh_, dst, owner, network::Mesh::no_owner, blockers))
+        return std::nullopt;
     network::Path first = yx_first ? network::yxRoute(src, dst)
                                    : network::xyRoute(src, dst);
     if (claimRoute(mesh_, first, owner, opts_.legacy_paths, blockers))
@@ -113,6 +134,20 @@ ChainClaimer::setEndpointReserved(const Coord &c, bool reserved)
     }
 }
 
+bool
+ChainClaimer::endpointHeld(const Coord &src, const Coord &dst, int owner,
+                           network::Blockers *blockers) const
+{
+    // A terminal's own reservation does not count: it is lent to the
+    // chain that ends there.
+    auto lent = [this](const Coord &c) {
+        return reserved_[static_cast<size_t>(
+            linearIndex(c, mesh_.width()))];
+    };
+    return endHeld(mesh_, src, owner, lent(src), blockers)
+        || endHeld(mesh_, dst, owner, lent(dst), blockers);
+}
+
 std::optional<network::Path>
 ChainClaimer::tryClaim(const network::Path &primary,
                        const network::Path &fallback, int owner,
@@ -120,6 +155,8 @@ ChainClaimer::tryClaim(const network::Path &primary,
 {
     const Coord &src = primary.source();
     const Coord &dst = primary.dest();
+    if (endpointHeld(src, dst, owner, blockers))
+        return std::nullopt;
 
     // Suspend the endpoint reservations: the two merged patches are
     // part of the chain, but stay opaque to every other chain.

@@ -364,9 +364,12 @@ fastForwardAfterStall(FastForward &ff, const ExpiryQueue &expiry,
  * waited adapt_timeout cycles, and to a breadth-first detour through
  * currently-free resources after bfs_timeout.  On success the route
  * is claimed on the mesh atomically (the n-hops-in-1-cycle property).
- * Claim attempts and the BFS detour are allocation-free: validation
- * and claiming share one mesh walk, and the detour search reuses an
- * epoch-stamped scratch owned by the claimer.
+ * An attempt first checks both endpoints: when another owner holds
+ * one, every stage fails there, so it fails at once without building
+ * or walking a route.  Claim attempts and the BFS detour are
+ * allocation-free: validation and claiming share one mesh walk, and
+ * the detour search reuses an epoch-stamped scratch owned by the
+ * claimer.
  */
 class RouteClaimer
 {
@@ -384,8 +387,11 @@ class RouteClaimer
      * @param yx_first prefer the Y-then-X geometry (Figure 5's
      *                 closing segment); the transposed fallback is
      *                 then X-then-Y.
-     * @param blockers when non-null, receives what stopped each
-     *                 failed stage: the first busy resource of each
+     * @param blockers when non-null, receives what stopped the
+     *                 attempt: an endpoint another owner holds, alone
+     *                 (checked first: every stage's route passes
+     *                 through both endpoints, so nothing else is
+     *                 walked); else the first busy resource of each
      *                 route tried, and the BFS detour's boundary.
      * @return the claimed path, or nullopt when every stage failed.
      */
@@ -446,8 +452,9 @@ class ChainClaimer
      * @param fallback alternate geometry, tried once the owner has
      *                 waited adapt_timeout cycles.
      * @param wait     cycles the owner has already failed to place.
-     * @param blockers when non-null, receives what stopped each
-     *                 failed stage (see RouteClaimer::tryClaim).
+     * @param blockers when non-null, receives what stopped the
+     *                 attempt (see RouteClaimer::tryClaim): the
+     *                 endpointHeld() check comes first.
      * @return the claimed corridor, or nullopt when every stage
      *         failed (endpoint reservations are then restored).
      */
@@ -455,6 +462,18 @@ class ChainClaimer
     tryClaim(const network::Path &primary,
              const network::Path &fallback, int owner, int wait,
              network::Blockers *blockers = nullptr);
+
+    /**
+     * The check tryClaim() makes before anything else, for callers
+     * that may skip building the corridors: @return true when an
+     * owner other than @p owner holds terminal @p src or @p dst —
+     * a terminal's own reservation does not count, since it is lent
+     * to the claim — and then append that terminal, alone, to
+     * @p blockers.  Every stage's corridor passes through both, so
+     * the claim would fail.
+     */
+    bool endpointHeld(const Coord &src, const Coord &dst, int owner,
+                      network::Blockers *blockers) const;
 
     /** Release @p chain and restore its endpoint reservations. */
     void release(const network::Path &chain, int owner);
@@ -644,10 +663,16 @@ appendStockedFactories(const MagicFactoryPool &pool,
  *  - the op routes at the same escalationStage().
  *
  * Such a repeat may be counted as that failure without walking any
- * route.  An attempt's blockers are the first busy resource of every
- * route it tried and, for a BFS detour, the busy resources bounding
- * the region the search explored: any free path would have to cross
- * one of them.  A starvation has none; only the stocks decide it.
+ * route.  When another owner holds a route's endpoint, that endpoint
+ * is the whole proof: every stage's route passes through it, so the
+ * claimers check both endpoints first and report the held one alone,
+ * and the memo replays until it is released.  (A terminal's own
+ * reservation, which Mesh::suspend() lends out without a stamp, never
+ * counts as held.)  Otherwise an attempt's blockers are the first
+ * busy resource of every route it tried and, for a BFS detour, the
+ * busy resources bounding the region the search explored: any free
+ * path would have to cross one of them.  A starvation has none; only
+ * the stocks decide it.
  *
  * The memo is on exactly when fast-forward is, so the cycle-stepped
  * loop, which walks every attempt, stays the oracle it is tested

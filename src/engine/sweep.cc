@@ -315,9 +315,14 @@ SweepDriver::run(const SweepGrid &grid, const SweepOptions &opts) const
     // entirely outside its slice).  With the cache on, the
     // decomposed program is shared across sweeps too (and its
     // fingerprint rides along so artifact keys skip rehashing).
+    // The analytic models take the circuit too when the point has
+    // no explicit KQ: they derive the computation size from it.
+    auto wants_circuit = [&](size_t i) {
+        return item_backend[i]->needsCircuit() || points[i].kq <= 0;
+    };
     std::vector<bool> app_needed(grid.apps.size(), false);
     for (size_t i = 0; i < points.size(); ++i)
-        if (selected(i) && item_backend[i]->needsCircuit())
+        if (selected(i) && wants_circuit(i))
             app_needed[points[i].app_index] = true;
 
     std::vector<std::shared_ptr<const circuit::Circuit>> circuits(
@@ -357,12 +362,10 @@ SweepDriver::run(const SweepGrid &grid, const SweepOptions &opts) const
         WorkItem &item = items[i];
         item.app = grid.apps[p.app_index].kind;
         item.app_name = p.app_name;
-        item.circuit = backend->needsCircuit()
-            ? circuits[p.app_index].get()
-            : nullptr;
-        item.circuit_fingerprint = backend->needsCircuit()
-            ? fingerprints[p.app_index]
-            : 0;
+        if (wants_circuit(i)) {
+            item.circuit = circuits[p.app_index].get();
+            item.circuit_fingerprint = fingerprints[p.app_index];
+        }
         item.config = grid.base;
         item.config.policy = p.policy;
         item.config.hybrid_arbiter = p.arbiter;

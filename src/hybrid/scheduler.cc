@@ -151,12 +151,13 @@ bestIdealLatency(const HybridOptions &opts, OpClass cls, int tiles)
     return best;
 }
 
+/** The critical path of @p circ, whose dependence DAG is @p dag, on
+ *  @p arch with each op at its cheapest allowed ideal latency. */
 uint64_t
-criticalPathOn(const circuit::Circuit &circ,
+criticalPathOn(const circuit::Circuit &circ, const circuit::Dag &dag,
                const surgery::PatchArch &arch,
                const HybridOptions &opts)
 {
-    circuit::Dag dag(circ);
     std::vector<uint64_t> finish(static_cast<size_t>(circ.size()),
                                  0);
     // Nearest-factory distance per qubit, computed on first use —
@@ -256,7 +257,8 @@ class Simulator
 
         HybridResult out;
         out.schedule_cycles = cycle;
-        out.critical_path_cycles = criticalPathOn(circ, arch, opts);
+        out.critical_path_cycles =
+            criticalPathOn(circ, dag, arch, opts);
         out.mesh_utilization = mesh.utilization();
         out.peak_busy_links =
             static_cast<uint64_t>(mesh.peakBusyLinks());
@@ -540,6 +542,9 @@ class Simulator
         }
         network::Blockers *blockers = memos.blockers();
         for (const auto &[dst, factory] : dsts) {
+            // A held terminal fails every stage: build no corridor.
+            if (claimer.endpointHeld(src, dst, i, blockers))
+                continue;
             const surgery::CorridorRouter::Routes &routes =
                 corridors.routes(src, dst);
             auto chain = claimer.tryClaim(routes.primary,

@@ -33,24 +33,11 @@ Mesh::Mesh(int width, int height)
     }
 }
 
-bool
-Mesh::contains(const Coord &c) const
-{
-    return c.x >= 0 && c.x < w && c.y >= 0 && c.y < h;
-}
-
 int
 Mesh::nodeIndex(const Coord &c) const
 {
     panicIf(!contains(c), "router ", c.x, ",", c.y, " outside ", w, "x",
             h, " mesh");
-    return linearIndex(c, w);
-}
-
-int
-Mesh::nodeIndexFast(const Coord &c) const
-{
-    assert(contains(c) && "router outside the mesh");
     return linearIndex(c, w);
 }
 
@@ -66,21 +53,6 @@ Mesh::linkIndex(const Coord &a, const Coord &b) const
 }
 
 int
-Mesh::linkIndexFast(int ia, int ib) const
-{
-    int lo = std::min(ia, ib);
-    // Index distance 1 is a horizontal hop — except on a 1-wide
-    // mesh, where only vertical links exist.
-    int li = std::abs(ib - ia) == 1 && w > 1
-        ? right_link[static_cast<size_t>(lo)]
-        : down_link[static_cast<size_t>(lo)];
-    assert((std::abs(ib - ia) == 1 || std::abs(ib - ia) == w)
-           && "link endpoints not adjacent");
-    assert(li >= 0 && "link leaves the mesh");
-    return li;
-}
-
-int
 Mesh::nodeOwner(const Coord &c) const
 {
     return node_owner[static_cast<size_t>(nodeIndex(c))];
@@ -90,13 +62,6 @@ int
 Mesh::linkOwner(const Coord &a, const Coord &b) const
 {
     return link_owner[static_cast<size_t>(linkIndex(a, b))];
-}
-
-bool
-Mesh::nodeAvailable(const Coord &c, int owner) const
-{
-    int cur = node_owner[static_cast<size_t>(nodeIndexFast(c))];
-    return cur == no_owner || cur == owner;
 }
 
 void
@@ -209,21 +174,6 @@ Mesh::claim(const Path &path, int owner)
             linkIndex(path.nodes[i], path.nodes[i + 1]);
     }
     panicIf(!tryClaim(path, owner), "claim on a busy route");
-}
-
-ResourceId
-Mesh::stepBlocker(const Coord &from, const Coord &to, int owner) const
-{
-    int ia = nodeIndexFast(from);
-    int ib = nodeIndexFast(to);
-    int cur = node_owner[static_cast<size_t>(ib)];
-    if (cur != no_owner && cur != owner)
-        return ib;
-    int li = linkIndexFast(ia, ib);
-    cur = link_owner[static_cast<size_t>(li)];
-    if (cur != no_owner && cur != owner)
-        return numNodes() + li;
-    return no_resource;
 }
 
 void

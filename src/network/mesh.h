@@ -15,10 +15,11 @@
  * link indices come from tables precomputed at construction, and
  * tryClaim() walks a route once, validating and recording indices in
  * a single traversal instead of the routeFree-then-claim double walk.
- * Per-coordinate validity checks on the hot entries (tryClaim,
- * release, routeFree, nodeAvailable, stepBlocker) are debug-only
- * assert()s — callers own path validity there; the checked panics
- * remain on the cold claim() entry.
+ * The hot queries are inline.  Per-coordinate validity checks on the
+ * hot entries (tryClaim, release, routeFree, nodeAvailable,
+ * nodeBlocker, stepBlocker) are debug-only assert()s — callers own
+ * path validity there; the checked panics remain on the cold claim()
+ * entry.
  *
  * Only release() gives resources back, and it stamps each one it
  * frees with a running release count.  A failed claim reports the
@@ -30,7 +31,10 @@
 #ifndef QSURF_NETWORK_MESH_H
 #define QSURF_NETWORK_MESH_H
 
+#include <algorithm>
+#include <cassert>
 #include <cstdint>
+#include <cstdlib>
 #include <vector>
 
 #include "common/arena.h"
@@ -104,7 +108,11 @@ class Mesh
     int numLinks() const { return static_cast<int>(link_owner.size()); }
 
     /** @return true when @p c is a valid router coordinate. */
-    bool contains(const Coord &c) const;
+    bool
+    contains(const Coord &c) const
+    {
+        return c.x >= 0 && c.x < w && c.y >= 0 && c.y < h;
+    }
 
     /** @return owner of router @p c, or no_owner. */
     int nodeOwner(const Coord &c) const;
@@ -146,8 +154,57 @@ class Mesh
      * it, else the link between them when someone else holds that,
      * else no_resource.
      */
-    ResourceId stepBlocker(const Coord &from, const Coord &to,
-                           int owner) const;
+    ResourceId
+    stepBlocker(const Coord &from, const Coord &to, int owner) const
+    {
+        int ia = nodeIndexFast(from);
+        int ib = nodeIndexFast(to);
+        return stepBlocker(ib, linkIndexFast(ia, ib), owner);
+    }
+
+    /**
+     * Index form of stepBlocker(): what stops @p owner stepping into
+     * router @p to (a node index) along link @p link (a link index).
+     */
+    ResourceId
+    stepBlocker(int to, int link, int owner) const
+    {
+        if (heldByOther(node_owner[static_cast<size_t>(to)], owner))
+            return to;
+        if (heldByOther(link_owner[static_cast<size_t>(link)], owner))
+            return numNodes() + link;
+        return no_resource;
+    }
+
+    /**
+     * @return router @p c's resource id when an owner other than
+     * @p owner and @p lent holds it, else no_resource.  Every route
+     * into or out of @p c then fails for @p owner, so this one test
+     * stands for the walk of any route ending there.
+     */
+    ResourceId
+    nodeBlocker(const Coord &c, int owner, int lent = no_owner) const
+    {
+        int ni = nodeIndexFast(c);
+        int cur = node_owner[static_cast<size_t>(ni)];
+        return heldByOther(cur, owner) && cur != lent ? ni : no_resource;
+    }
+
+    /** @return the index of router @p node's +x link, or -1 on the
+     *  east edge. */
+    int
+    rightLink(int node) const
+    {
+        return right_link[static_cast<size_t>(node)];
+    }
+
+    /** @return the index of router @p node's +y link, or -1 on the
+     *  south edge. */
+    int
+    downLink(int node) const
+    {
+        return down_link[static_cast<size_t>(node)];
+    }
 
     /**
      * Claim every node and link of @p path for @p owner.
@@ -185,7 +242,11 @@ class Mesh
     }
 
     /** @return true if router @p c is free or owned by @p owner. */
-    bool nodeAvailable(const Coord &c, int owner) const;
+    bool
+    nodeAvailable(const Coord &c, int owner) const
+    {
+        return nodeBlocker(c, owner) == no_resource;
+    }
 
     /**
      * Mark router @p c permanently defective (idempotent).  Apply
@@ -277,13 +338,39 @@ class Mesh
     int linkIndex(const Coord &a, const Coord &b) const;
 
     /** Hot-path node index: bounds are debug-only assert()s. */
-    int nodeIndexFast(const Coord &c) const;
+    int
+    nodeIndexFast(const Coord &c) const
+    {
+        assert(contains(c) && "router outside the mesh");
+        return linearIndex(c, w);
+    }
 
     /**
      * Hot-path link index from the precomputed tables, given the two
      * endpoints' node indices; adjacency is a debug-only assert().
      */
-    int linkIndexFast(int ia, int ib) const;
+    int
+    linkIndexFast(int ia, int ib) const
+    {
+        int lo = std::min(ia, ib);
+        // Index distance 1 is a horizontal hop — except on a 1-wide
+        // mesh, where only vertical links exist.
+        int li = std::abs(ib - ia) == 1 && w > 1
+            ? right_link[static_cast<size_t>(lo)]
+            : down_link[static_cast<size_t>(lo)];
+        assert((std::abs(ib - ia) == 1 || std::abs(ib - ia) == w)
+               && "link endpoints not adjacent");
+        assert(li >= 0 && "link leaves the mesh");
+        return li;
+    }
+
+    /** @return true when current owner @p cur is someone other than
+     *  @p owner: the resource is busy to @p owner. */
+    static bool
+    heldByOther(int cur, int owner)
+    {
+        return cur != no_owner && cur != owner;
+    }
 
     /** Free @p path's resources held by @p owner, stamping each with
      *  @p stamp unless it is 0. */

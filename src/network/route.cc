@@ -1,7 +1,6 @@
 #include "network/route.h"
 
 #include <algorithm>
-#include <array>
 
 #include "common/logging.h"
 
@@ -58,60 +57,67 @@ adaptiveRoute(const Mesh &mesh, const Coord &src, const Coord &dst,
     fatalIf(!mesh.contains(src) || !mesh.contains(dst),
             "route endpoint outside the mesh");
     for (const Coord &end : {src, dst}) {
-        if (!mesh.nodeAvailable(end, owner)) {
+        ResourceId busy = mesh.nodeBlocker(end, owner);
+        if (busy != Mesh::no_resource) {
             if (boundary)
-                boundary->push_back(mesh.nodeResource(end));
+                boundary->push_back(busy);
             return std::nullopt;
         }
     }
     if (src == dst)
         return Path{{src}};
 
-    // BFS over free routers/links.  Expansion order (east, west,
-    // south, north; first-found wins) is part of the deterministic
-    // results contract — it must not change.
+    // BFS over free routers/links, on node and link indices.
     int width = mesh.width();
-    auto idx = [width](const Coord &c) {
-        return linearIndex(c, width);
-    };
-
+    int from = linearIndex(src, width);
+    int to = linearIndex(dst, width);
     scratch.beginSearch(mesh.numNodes());
     std::vector<int32_t> &frontier = scratch.frontier();
-    frontier.push_back(idx(src));
-    scratch.visit(idx(src), -1);
+    frontier.push_back(from);
+    scratch.visit(from, -1);
 
+    // Step from router @p cur over link @p link into router @p next;
+    // @return true when that reaches dst.
+    auto step = [&](int cur, int next, int link) {
+        if (scratch.seen(next))
+            return false;
+        ResourceId busy = mesh.stepBlocker(next, link, owner);
+        if (busy != Mesh::no_resource) {
+            if (boundary)
+                boundary->push_back(busy);
+            // A busy router stays busy for the whole search: mark it
+            // seen so it is tested (and reported) once.
+            if (busy == next)
+                scratch.visit(busy, -1);
+            return false;
+        }
+        scratch.visit(next, cur);
+        if (next == to)
+            return true;
+        frontier.push_back(next);
+        return false;
+    };
+
+    // Expansion order (east, west, south, north; first-found wins)
+    // is part of the deterministic results contract — it must not
+    // change.
+    int last_row = mesh.numNodes() - width;
     bool found = false;
     for (size_t head = 0; head < frontier.size() && !found; ++head) {
-        Coord cur = fromLinearIndex(frontier[head], width);
-        static constexpr std::array<Coord, 4> dirs{
-            {{1, 0}, {-1, 0}, {0, 1}, {0, -1}}};
-        for (const Coord &d : dirs) {
-            Coord next{cur.x + d.x, cur.y + d.y};
-            if (!mesh.contains(next) || scratch.seen(idx(next)))
-                continue;
-            ResourceId busy = mesh.stepBlocker(cur, next, owner);
-            if (busy != Mesh::no_resource) {
-                if (boundary)
-                    boundary->push_back(busy);
-                // A busy router stays busy for the whole search:
-                // mark it seen so it is tested (and reported) once.
-                if (busy == idx(next))
-                    scratch.visit(busy, -1);
-                continue;
-            }
-            scratch.visit(idx(next), idx(cur));
-            if (next == dst) {
-                found = true;
-                break;
-            }
-            frontier.push_back(idx(next));
-        }
+        int cur = frontier[head];
+        int x = cur % width;
+        found = (x + 1 < width && step(cur, cur + 1, mesh.rightLink(cur)))
+            || (x > 0 && step(cur, cur - 1, mesh.rightLink(cur - 1)))
+            || (cur < last_row
+                && step(cur, cur + width, mesh.downLink(cur)))
+            || (cur >= width
+                && step(cur, cur - width, mesh.downLink(cur - width)));
     }
     if (!found)
         return std::nullopt;
 
     Path path;
-    for (int c = idx(dst); c >= 0; c = scratch.prev(c))
+    for (int c = to; c >= 0; c = scratch.prev(c))
         path.nodes.push_back(fromLinearIndex(c, width));
     std::reverse(path.nodes.begin(), path.nodes.end());
     return path;

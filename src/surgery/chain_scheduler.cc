@@ -266,6 +266,9 @@ class Simulator
             bfs_before = claimer.bfsDetours();
         }
         for (const auto &[dst, factory] : dsts) {
+            // A held terminal fails every stage: build no corridor.
+            if (claimer.endpointHeld(src, dst, i, blockers))
+                continue;
             std::optional<network::Path> chain;
             if (opts.legacy_paths) {
                 // Pre-change behavior: rebuild both corridor

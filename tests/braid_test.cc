@@ -54,21 +54,21 @@ TEST(CriticalPath, SerialChainSumsLatencies)
     Circuit c(1);
     for (int i = 0; i < 4; ++i)
         c.addGate(GateKind::H, 0); // 1q: d cycles each
-    EXPECT_EQ(braidCriticalPath(c, 5), 4u * 5u);
+    EXPECT_EQ(braidCriticalPath(c, circuit::Dag(c), 5), 4u * 5u);
 }
 
 TEST(CriticalPath, TwoQubitLatency)
 {
     Circuit c(2);
     c.addGate(GateKind::CNOT, 0, 1); // 2d+2
-    EXPECT_EQ(braidCriticalPath(c, 5), 12u);
+    EXPECT_EQ(braidCriticalPath(c, circuit::Dag(c), 5), 12u);
 }
 
 TEST(CriticalPath, TGateLatency)
 {
     Circuit c(1);
     c.addGate(GateKind::T, 0); // d+1
-    EXPECT_EQ(braidCriticalPath(c, 5), 6u);
+    EXPECT_EQ(braidCriticalPath(c, circuit::Dag(c), 5), 6u);
 }
 
 TEST(CriticalPath, ParallelGatesShareLevels)
@@ -76,7 +76,7 @@ TEST(CriticalPath, ParallelGatesShareLevels)
     Circuit c(4);
     for (int q = 0; q < 4; ++q)
         c.addGate(GateKind::H, q);
-    EXPECT_EQ(braidCriticalPath(c, 7), 7u);
+    EXPECT_EQ(braidCriticalPath(c, circuit::Dag(c), 7), 7u);
 }
 
 TEST(TiledArch, GeometryCoversQubits)

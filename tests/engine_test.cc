@@ -435,6 +435,213 @@ TEST_F(FailMemosAcrossWall, ForgottenOrDisabledMemosNeverHit)
     EXPECT_FALSE(off.replay(0, mesh, 0, stage));
 }
 
+/** Every owner and release stamp of @p mesh, in resource-id order,
+ *  then its release count: what a failed attempt must not move. */
+std::vector<uint64_t>
+meshState(const network::Mesh &mesh)
+{
+    std::vector<uint64_t> state;
+    for (int y = 0; y < mesh.height(); ++y) {
+        for (int x = 0; x < mesh.width(); ++x) {
+            Coord c{x, y};
+            state.push_back(static_cast<uint64_t>(mesh.nodeOwner(c)));
+            for (Coord n : {Coord{x + 1, y}, Coord{x, y + 1}})
+                if (mesh.contains(n))
+                    state.push_back(
+                        static_cast<uint64_t>(mesh.linkOwner(c, n)));
+        }
+    }
+    for (int r = 0; r < mesh.numNodes() + mesh.numLinks(); ++r)
+        state.push_back(mesh.releaseStamp(r));
+    state.push_back(mesh.releaseCount());
+    return state;
+}
+
+TEST(HeldEndpoint, RouteClaimerFailsAtOnceOnTheEndpoint)
+{
+    // Owner 7 holds one endpoint; owner 8 sits on both dimension-
+    // ordered routes, so a walk would report it first.
+    network::Mesh mesh(5, 5);
+    network::Path busy;
+    busy.nodes.push_back(Coord{2, 0});
+    busy.nodes.push_back(Coord{2, 1});
+    mesh.claim(busy, 8);
+    network::Path spare;
+    spare.nodes.push_back(Coord{0, 4});
+    mesh.claim(spare, 8);
+    mesh.release(spare, 8);
+    RouteClaimOptions route;
+    RouteClaimer claimer(mesh, route);
+
+    for (Coord held : {Coord{4, 0}, Coord{0, 0}}) {
+        network::Path end;
+        end.nodes.push_back(held);
+        mesh.claim(end, 7);
+        std::vector<uint64_t> before = meshState(mesh);
+        for (bool yx_first : {false, true}) {
+            network::Blockers blockers;
+            EXPECT_FALSE(claimer.tryClaim(Coord{0, 0}, Coord{4, 0}, 0,
+                                          route.bfs_timeout, yx_first,
+                                          &blockers));
+            ASSERT_EQ(blockers.size(), 1u);
+            EXPECT_EQ(blockers[0], mesh.nodeResource(held));
+            EXPECT_EQ(meshState(mesh), before);
+        }
+        mesh.release(end, 7);
+    }
+    EXPECT_EQ(claimer.transposeFallbacks(), 0u);
+    EXPECT_EQ(claimer.bfsDetours(), 0u);
+}
+
+TEST(HeldEndpoint, RequesterHoldingItsOwnEndpointClaims)
+{
+    network::Mesh mesh(5, 5);
+    network::Path end;
+    end.nodes.push_back(Coord{4, 0});
+    mesh.claim(end, 3);
+    RouteClaimOptions route;
+    RouteClaimer claimer(mesh, route);
+    network::Blockers blockers;
+    auto path = claimer.tryClaim(Coord{0, 0}, Coord{4, 0}, 3, 0, false,
+                                 &blockers);
+    ASSERT_TRUE(path.has_value());
+    EXPECT_EQ(path->dest(), (Coord{4, 0}));
+    EXPECT_TRUE(blockers.empty());
+}
+
+/**
+ * A 5x3 mesh with patch terminals at (0, 1), (2, 1) and (4, 1).  A
+ * chain between the first two runs along the top row.
+ */
+class HeldTerminal : public ::testing::Test
+{
+  protected:
+    HeldTerminal()
+    {
+        for (int x : {0, 2, 4})
+            claimer.reserveTerminal(Coord{x, 1});
+        for (Coord c : {Coord{0, 1}, Coord{0, 0}, Coord{1, 0},
+                        Coord{2, 0}, Coord{2, 1}})
+            left.nodes.push_back(c);
+        for (Coord c : {Coord{2, 1}, Coord{2, 2}, Coord{3, 2},
+                        Coord{4, 2}, Coord{4, 1}})
+            right.nodes.push_back(c);
+    }
+
+    network::Mesh mesh{5, 3};
+    RouteClaimOptions route;
+    ChainClaimer claimer{mesh, route};
+    network::Path left;  ///< (0, 1) to (2, 1).
+    network::Path right; ///< (2, 1) to (4, 1).
+};
+
+TEST_F(HeldTerminal, ChainClaimerFailsAtOnceOnTheTerminal)
+{
+    // Op 5's chain holds the terminal at (2, 1).
+    auto held = claimer.tryClaim(left, left, 5, 0);
+    ASSERT_TRUE(held.has_value());
+    std::vector<uint64_t> before = meshState(mesh);
+
+    network::Blockers blockers;
+    EXPECT_TRUE(claimer.endpointHeld(Coord{2, 1}, Coord{4, 1}, 0,
+                                     &blockers));
+    ASSERT_EQ(blockers.size(), 1u);
+    EXPECT_EQ(blockers[0], mesh.nodeResource(Coord{2, 1}));
+
+    blockers.clear();
+    EXPECT_FALSE(
+        claimer.tryClaim(right, right, 0, route.bfs_timeout, &blockers));
+    ASSERT_EQ(blockers.size(), 1u);
+    EXPECT_EQ(blockers[0], mesh.nodeResource(Coord{2, 1}));
+    EXPECT_EQ(meshState(mesh), before);
+    EXPECT_EQ(claimer.transposeFallbacks(), 0u);
+    EXPECT_EQ(claimer.bfsDetours(), 0u);
+
+    // Once op 5's chain releases it, op 0's chain is granted.
+    claimer.release(*held, 5);
+    blockers.clear();
+    EXPECT_TRUE(claimer.tryClaim(right, right, 0, 0, &blockers));
+    EXPECT_TRUE(blockers.empty());
+}
+
+TEST_F(HeldTerminal, OwnReservationIsNotAHolder)
+{
+    // Both terminals are held by their own reservations only: the
+    // chain is claimed, as ever.
+    network::Blockers blockers;
+    EXPECT_FALSE(claimer.endpointHeld(Coord{2, 1}, Coord{4, 1}, 0,
+                                      &blockers));
+    auto chain = claimer.tryClaim(right, right, 0, 0, &blockers);
+    ASSERT_TRUE(chain.has_value());
+    EXPECT_TRUE(blockers.empty());
+    EXPECT_EQ(mesh.nodeOwner(Coord{2, 1}), 0);
+    EXPECT_EQ(mesh.nodeOwner(Coord{4, 1}), 0);
+}
+
+/**
+ * FailMemosAcrossWall's shape with the destination held: owner 7
+ * holds (4, 0), owner 8 a router on the XY route, owner 9 a pair
+ * elsewhere.  Op 0 routes (0, 0) -> (4, 0), fully escalated.
+ */
+class FailMemosHeldDestination : public ::testing::Test
+{
+  protected:
+    FailMemosHeldDestination()
+    {
+        dst.nodes.push_back(Coord{4, 0});
+        mesh.claim(dst, 7);
+        on_route.nodes.push_back(Coord{2, 0});
+        mesh.claim(on_route, 8);
+        elsewhere.nodes.push_back(Coord{1, 3});
+        elsewhere.nodes.push_back(Coord{1, 4});
+        mesh.claim(elsewhere, 9);
+    }
+
+    /** Op 0's real attempt, outside the memo. */
+    bool
+    attempt()
+    {
+        return claimer
+            .tryClaim(Coord{0, 0}, Coord{4, 0}, 0, route.bfs_timeout,
+                      false)
+            .has_value();
+    }
+
+    network::Mesh mesh{5, 5};
+    network::Path dst;
+    network::Path on_route;
+    network::Path elsewhere;
+    RouteClaimOptions route;
+    RouteClaimer claimer{mesh, route};
+    FailMemos memos{1, true};
+    const int stage = escalationStage(route.bfs_timeout, route);
+};
+
+TEST_F(FailMemosHeldDestination, ReplaysUntilTheEndpointIsReleased)
+{
+    const std::optional<FailKind> denied(FailKind::Denied);
+    ASSERT_FALSE(memos.replay(0, mesh, 0, stage));
+    network::Blockers *sink = memos.blockers();
+    ASSERT_FALSE(claimer
+                     .tryClaim(Coord{0, 0}, Coord{4, 0}, 0,
+                               route.bfs_timeout, false, sink)
+                     .has_value());
+    memos.fail(0, mesh, FailKind::Denied);
+
+    mesh.release(on_route, 8);
+    EXPECT_EQ(memos.replay(0, mesh, 0, stage), denied)
+        << "the XY route is free, but the endpoint is not";
+    EXPECT_FALSE(attempt()) << "the oracle agrees";
+
+    mesh.release(elsewhere, 9);
+    EXPECT_EQ(memos.replay(0, mesh, 0, stage), denied);
+    EXPECT_FALSE(attempt()) << "the oracle agrees";
+
+    mesh.release(dst, 7);
+    EXPECT_FALSE(memos.replay(0, mesh, 0, stage));
+    EXPECT_TRUE(attempt()) << "the oracle agrees";
+}
+
 TEST(FailMemos, SuspendedTerminalsStayBlocked)
 {
     // A 5x1 line of patch terminals at x = 0, 2, 4.  Op 0's chain

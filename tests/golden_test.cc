@@ -21,12 +21,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "apps/apps.h"
 #include "braid/scheduler.h"
 #include "circuit/decompose.h"
+#include "engine/registry.h"
 #include "engine/sweep.h"
 #include "surgery/chain_scheduler.h"
 
@@ -223,6 +226,41 @@ TEST(Golden, HybridSchemeHistogram)
             << what;
         EXPECT_EQ(static_cast<uint64_t>(m.extra("drops")), g.drops)
             << what;
+    }
+}
+
+/**
+ * The analytic models' doubles, pinned to the bit.  GCC contracts
+ * a * b + c into one fused multiply-add when the target has FMA
+ * (-march=native on most hosts) unless -ffp-contract=off, which the
+ * build sets; contracted, planar/surgery-model's seconds here moves
+ * by one unit in the last place (0x3f89179424fa7369), and with it
+ * every digest that hashes the row.
+ */
+TEST(Golden, ModelResultsAreContractionFree)
+{
+    struct Pinned
+    {
+        const char *backend;
+        uint64_t seconds_bits;
+    };
+    static const Pinned table[] = {
+        {backends::double_defect_model, 0x3f71c6eaeeda212full},
+        {backends::planar_model, 0x3f789da1a7d6f0caull},
+        {backends::surgery_model, 0x3f89179424fa7368ull},
+    };
+    circuit::Circuit circ = circuit::decompose(
+        apps::generate(apps::AppKind::GSE, {8, 0}));
+    for (const Pinned &p : table) {
+        const Backend &backend = Registry::global().get(p.backend);
+        WorkItem item;
+        item.app = apps::AppKind::GSE;
+        item.circuit = &circ;
+        item.config.code_distance = 5;
+        backend.prepare(item);
+        double seconds = backend.run(item).seconds;
+        EXPECT_EQ(std::bit_cast<uint64_t>(seconds), p.seconds_bits)
+            << p.backend << ": seconds " << std::hexfloat << seconds;
     }
 }
 

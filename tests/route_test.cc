@@ -1,15 +1,20 @@
 /**
  * @file
  * Routing tests: dimension-ordered path shape, adaptive BFS detours
- * around busy regions, and unreachability reporting.
+ * around busy regions, and unreachability reporting.  The index-based
+ * BFS is checked path for path and blocker for blocker against the
+ * coordinate-based search it replaced, kept here as the reference.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/rng.h"
 #include "network/route.h"
 
 namespace qsurf::network {
@@ -202,6 +207,157 @@ TEST(AdaptiveRoute, ReusedScratchMatchesFreshScratch)
             }
         }
     }
+}
+
+/**
+ * The reference detour search: BFS over coordinates through the
+ * checked ownership queries, expanding east, west, south, north.
+ * The same contract as adaptiveRoute(): the path, and the busy
+ * resources in the order the search meets them.
+ */
+std::optional<Path>
+referenceRoute(const Mesh &mesh, const Coord &src, const Coord &dst,
+               int owner, Blockers &boundary)
+{
+    auto busy = [owner](int cur) {
+        return cur != Mesh::no_owner && cur != owner;
+    };
+    for (const Coord &end : {src, dst}) {
+        if (busy(mesh.nodeOwner(end))) {
+            boundary.push_back(mesh.nodeResource(end));
+            return std::nullopt;
+        }
+    }
+    if (src == dst)
+        return Path{{src}};
+
+    int width = mesh.width();
+    auto idx = [width](const Coord &c) {
+        return static_cast<size_t>(linearIndex(c, width));
+    };
+    std::vector<bool> seen(static_cast<size_t>(mesh.numNodes()), false);
+    std::vector<Coord> prev(static_cast<size_t>(mesh.numNodes()));
+    std::vector<Coord> frontier{src};
+    seen[idx(src)] = true;
+    for (size_t head = 0; head < frontier.size(); ++head) {
+        Coord cur = frontier[head];
+        for (Coord d : {Coord{1, 0}, Coord{-1, 0}, Coord{0, 1},
+                        Coord{0, -1}}) {
+            Coord next{cur.x + d.x, cur.y + d.y};
+            if (!mesh.contains(next) || seen[idx(next)])
+                continue;
+            if (busy(mesh.nodeOwner(next))) {
+                boundary.push_back(mesh.nodeResource(next));
+                seen[idx(next)] = true;
+                continue;
+            }
+            if (busy(mesh.linkOwner(cur, next))) {
+                boundary.push_back(mesh.linkResource(cur, next));
+                continue;
+            }
+            seen[idx(next)] = true;
+            prev[idx(next)] = cur;
+            if (next == dst) {
+                Path path;
+                for (Coord c = dst; c != src; c = prev[idx(c)])
+                    path.nodes.push_back(c);
+                path.nodes.push_back(src);
+                std::reverse(path.nodes.begin(), path.nodes.end());
+                return path;
+            }
+            frontier.push_back(next);
+        }
+    }
+    return std::nullopt;
+}
+
+/** @return a random router of @p mesh. */
+Coord
+randomCoord(Rng &rng, const Mesh &mesh)
+{
+    return Coord{static_cast<int>(rng.below(
+                     static_cast<uint64_t>(mesh.width()))),
+                 static_cast<int>(rng.below(
+                     static_cast<uint64_t>(mesh.height())))};
+}
+
+/** @return a random neighbour of @p c inside @p mesh, if any. */
+std::optional<Coord>
+randomNeighbour(Rng &rng, const Mesh &mesh, const Coord &c)
+{
+    static constexpr Coord dirs[4] = {{1, 0}, {-1, 0}, {0, 1}, {0, -1}};
+    const Coord &d = dirs[rng.below(4)];
+    Coord n{c.x + d.x, c.y + d.y};
+    if (!mesh.contains(n))
+        return std::nullopt;
+    return n;
+}
+
+TEST(AdaptiveRoute, MatchesTheReferenceSearchOnSeededMeshes)
+{
+    // 1xN and Nx1 lines, small and mid-sized meshes; defective
+    // routers and links, holds by several owners including the
+    // requester, every density from empty to sealed, and src == dst.
+    BfsScratch scratch; // Reused across meshes, as the claimers do.
+    int found = 0, failed = 0, blocked_end = 0;
+    for (uint64_t seed = 1; seed <= 240; ++seed) {
+        Rng rng(seed);
+        int w = 1 + static_cast<int>(rng.below(9));
+        int h = 1 + static_cast<int>(rng.below(9));
+        if (seed % 8 == 0)
+            w = 1;
+        else if (seed % 8 == 1)
+            h = 1;
+        Mesh mesh(w, h);
+        int cells = w * h;
+        for (int k = static_cast<int>(rng.below(
+                 static_cast<uint64_t>(cells / 6 + 1)));
+             k > 0; --k) {
+            Coord c = randomCoord(rng, mesh);
+            auto n = randomNeighbour(rng, mesh, c);
+            if (rng.below(2) == 0)
+                mesh.disableNode(c);
+            else if (n)
+                mesh.disableLink(c, *n);
+        }
+        int holds = static_cast<int>(
+            rng.below(static_cast<uint64_t>(cells / 2 + 2)));
+        for (int k = 0; k < holds; ++k) {
+            Path p;
+            p.nodes.push_back(randomCoord(rng, mesh));
+            if (auto n = randomNeighbour(rng, mesh, p.nodes[0]))
+                p.nodes.push_back(*n);
+            int owner = 1 + static_cast<int>(rng.below(3));
+            if (mesh.routeFree(p, Mesh::no_owner))
+                mesh.claim(p, owner);
+        }
+        for (int q = 0; q < 4; ++q) {
+            Coord src = randomCoord(rng, mesh);
+            Coord dst = q == 3 ? src : randomCoord(rng, mesh);
+            int owner = 1 + static_cast<int>(rng.below(3));
+            std::string what = "seed " + std::to_string(seed)
+                + ", query " + std::to_string(q);
+            Blockers want_boundary;
+            Blockers got_boundary;
+            auto want =
+                referenceRoute(mesh, src, dst, owner, want_boundary);
+            auto got = adaptiveRoute(mesh, src, dst, owner, scratch,
+                                     &got_boundary);
+            ASSERT_EQ(got.has_value(), want.has_value()) << what;
+            if (got) {
+                EXPECT_TRUE(got->nodes == want->nodes) << what;
+                ++found;
+            } else {
+                ++failed;
+                blocked_end += want_boundary.size() == 1;
+            }
+            EXPECT_TRUE(got_boundary == want_boundary) << what;
+        }
+    }
+    // The seeds reach every outcome.
+    EXPECT_GT(found, 100);
+    EXPECT_GT(failed, 100);
+    EXPECT_GT(blocked_end, 20);
 }
 
 TEST(AdaptiveRoute, ScratchSurvivesMeshSizeChange)

@@ -14,6 +14,7 @@
 #include "common/logging.h"
 #include "engine/sweep.h"
 #include "service/cache.h"
+#include "service/service.h"
 
 namespace qsurf::engine {
 namespace {
@@ -138,6 +139,40 @@ TEST(Sweep, ModelBackendsSweepSizesWithoutCircuits)
     EXPECT_LT(results[0].metrics.seconds, results[2].metrics.seconds);
     EXPECT_LT(results[2].metrics.seconds, results[4].metrics.seconds);
     EXPECT_LT(results[1].metrics.seconds, results[3].metrics.seconds);
+}
+
+TEST(Sweep, ModelBackendsDeriveTheSizeFromTheCircuit)
+{
+    // sizes = {0} means "derive KQ from the program": the model row
+    // must get the circuit and match a compile service response for
+    // the same request, at any thread count.
+    SweepGrid grid;
+    grid.apps = {{apps::AppKind::SQ, {6, 2}, ""}};
+    grid.backends = {backends::double_defect,
+                     backends::double_defect_model};
+    grid.distances = {5};
+
+    service::CompileRequest req;
+    req.app = apps::AppKind::SQ;
+    req.gen = {6, 2};
+    req.backend = backends::double_defect_model;
+    req.config.code_distance = 5;
+    service::CompileService compile;
+    service::CompileResponse want = compile.submit(req).get();
+    ASSERT_TRUE(want.ok()) << want.error;
+    EXPECT_EQ(want.metrics.extra("kq"), 666.0);
+
+    for (int threads : {1, 2}) {
+        SweepOptions opts;
+        opts.num_threads = threads;
+        auto rows = SweepDriver().run(grid, opts);
+        ASSERT_EQ(rows.size(), 2u);
+        EXPECT_EQ(rows[1].backend, backends::double_defect_model);
+        EXPECT_EQ(rows[1].metrics.extra("kq"), 666.0)
+            << threads << " threads";
+        EXPECT_TRUE(identical(rows[1].metrics, want.metrics))
+            << threads << " threads";
+    }
 }
 
 TEST(Sweep, EmptyAxesAreFatal)
