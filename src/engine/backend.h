@@ -351,12 +351,12 @@ class Backend
     /**
      * @return the cache key of the prepare artifact run() could
      * reuse for @p item, or "" when this backend has none (the
-     * analytic models).  Keys name every input the artifact depends
-     * on — circuit fingerprint, seed, layout objective, lane
-     * spacing, resolved distance, machine kind — so two items with
-     * the same key always accept the same artifact; backends whose
-     * machines coincide (surgery and hybrid share one patch
-     * machine) intentionally return identical keys.
+     * analytic models).  Keys name exactly what the builder reads —
+     * circuit fingerprint, seed, layout objective, lane spacing,
+     * fabric damage, machine kind — never the code distance, which
+     * only run() reads; two items with the same key accept the same
+     * artifact, and backends whose machines coincide (surgery and
+     * hybrid share one patch machine) return identical keys.
      */
     virtual std::string
     artifactKey(const WorkItem &item) const

@@ -89,7 +89,6 @@ class DoubleDefectBackend : public Backend
         std::ostringstream os;
         os << "tiled/fp=" << std::hex << item.resolveFingerprint()
            << "/seed=" << item.config.seed << std::dec
-           << "/d=" << item.resolveDistance()
            << "/opt=" << (item.config.policy >= 2 ? 1 : 0)
            << "/tpf=" << braid::BraidOptions{}.tiles_per_factory
            << defectKeySuffix(item.config.defectParams());
@@ -209,14 +208,12 @@ class PlanarBackend : public Backend
     std::string
     artifactKey(const WorkItem &item) const override
     {
-        // The SIMD machine and schedule don't depend on the seed,
-        // so it stays out of the key (one artifact serves every
-        // seed); the resolved distance stays in so distance sweeps
-        // key separately, like every other layout artifact.
+        // The SIMD machine and schedule depend on neither the seed
+        // nor the code distance, so one artifact serves every seed
+        // and distance.
         std::ostringstream os;
         os << "simd/fp=" << std::hex << item.resolveFingerprint()
-           << std::dec << "/d=" << item.resolveDistance()
-           << "/r=" << item.config.num_simd_regions
+           << std::dec << "/r=" << item.config.num_simd_regions
            << "/cap=" << item.config.region_capacity
            << "/legacy=" << (item.config.legacy_baseline ? 1 : 0);
         return os.str();

@@ -28,7 +28,6 @@ DefectMap::killTile(int x, int y)
     if (!cell) {
         cell = 1;
         ++num_dead;
-        dead_prefix_.clear();
     }
 }
 
@@ -111,7 +110,7 @@ DefectMap::avgErrorMultiplier() const
 }
 
 void
-DefectMap::buildPrefix() const
+DefectMap::buildPrefix()
 {
     auto stride = static_cast<size_t>(w + 1);
     dead_prefix_.assign(stride * static_cast<size_t>(h + 1), 0);
@@ -136,8 +135,6 @@ DefectMap::routeExposure(const Coord &a, const Coord &b) const
     int x1 = std::clamp(std::max(a.x, b.x), 0, w - 1);
     int y0 = std::clamp(std::min(a.y, b.y), 0, h - 1);
     int y1 = std::clamp(std::max(a.y, b.y), 0, h - 1);
-    if (dead_prefix_.empty())
-        buildPrefix();
     auto stride = static_cast<size_t>(w + 1);
     auto at = [&](int x, int y) {
         return dead_prefix_[static_cast<size_t>(y) * stride
@@ -214,6 +211,7 @@ DefectMap::generate(int w, int h, double density, uint64_t seed)
         static_cast<uint64_t>(h - rh + 1)));
     map.addRegion({rx, ry, rx + rw - 1, ry + rh - 1,
                    1.0 + 4.0 * density});
+    map.buildPrefix();
     return map;
 }
 
@@ -264,6 +262,7 @@ DefectMap::fromSpec(const std::string &json, int w, int h)
                            coord("y1"), mult->num});
         }
     }
+    map.buildPrefix();
     return map;
 }
 

@@ -172,6 +172,9 @@ class DefectMap
      *  first then vertical, in index order. */
     std::vector<std::pair<Coord, Coord>> disabledLinks() const;
 
+  private:
+    explicit DefectMap(int w, int h);
+
     /** Mark the tile at (x, y) dead (idempotent; in-grid only). */
     void killTile(int x, int y);
 
@@ -183,10 +186,7 @@ class DefectMap
     /** Add an error-multiplier region (clamped to the grid). */
     void addRegion(const DefectRegion &region);
 
-  private:
-    explicit DefectMap(int w, int h);
-
-    void buildPrefix() const;
+    void buildPrefix();
 
     int w = 0;
     int h = 0;
@@ -197,9 +197,10 @@ class DefectMap
     std::vector<uint8_t> vlink_;  ///< w*(h-1) disabled +y links.
     std::vector<DefectRegion> regions_;
 
-    /** Lazily built inclusive prefix sums of dead_ for
-     *  routeExposure(); (w+1)*(h+1). */
-    mutable std::vector<int32_t> dead_prefix_;
+    /** Inclusive prefix sums of dead_ for routeExposure();
+     *  (w+1)*(h+1).  Built when the map is complete, so every const
+     *  query only reads and a shared map is safe on any thread. */
+    std::vector<int32_t> dead_prefix_;
 };
 
 } // namespace qsurf::fabric

@@ -2,7 +2,8 @@
  * @file
  * Fiduccia-Mattheyses boundary refinement for 2-way partitions:
  * single-vertex moves with gain tracking, a tentative move sequence,
- * and rollback to the best prefix.  Linear time per pass.
+ * and rollback to the best prefix.  Each move scans every unlocked
+ * vertex (no gain buckets), so a pass takes O(n^2) time.
  */
 
 #ifndef QSURF_PARTITION_REFINE_H

@@ -1,7 +1,5 @@
 #include "planar/planar.h"
 
-#include "circuit/dag.h"
-#include "circuit/schedule.h"
 #include "common/logging.h"
 
 namespace qsurf::planar {
@@ -26,8 +24,6 @@ PlanarPrepared::PlanarPrepared(const circuit::Circuit &circ,
     : arch(makeArchOptions(circ, opts)),
       sched(scheduleSimd(circ, arch, opts.legacy_level_scan))
 {
-    circuit::Dag dag(circ);
-    depth = static_cast<uint64_t>(circuit::levelize(dag).depth);
 }
 
 PlanarResult
@@ -60,7 +56,8 @@ runPlanar(const circuit::Circuit &circ, const PlanarOptions &opts,
 
     PlanarResult out;
     out.schedule_cycles = epr.schedule_cycles;
-    out.critical_path_cycles = prepared.depth
+    out.critical_path_cycles =
+        static_cast<uint64_t>(prepared.sched.depth)
         * static_cast<uint64_t>(opts.code_distance);
     out.steps = prepared.sched.steps;
     out.teleports = epr.teleports;

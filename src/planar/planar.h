@@ -87,17 +87,16 @@ struct PlanarResult
 
 /**
  * The expensive prepare artifact of the planar backend: the SIMD
- * machine geometry, the level-scheduled SimdSchedule and the
- * levelized circuit depth.  None of it depends on the code distance
- * or the EPR knobs, so one PlanarPrepared serves every (d, window,
- * bandwidth) point of a sweep; handing runPlanar() one is
+ * machine geometry and the level-scheduled SimdSchedule (which
+ * carries the levelized circuit depth).  Neither depends on the code
+ * distance or the EPR knobs, so one PlanarPrepared serves every (d,
+ * window, bandwidth) point of a sweep; handing runPlanar() one is
  * bit-identical to building it inline.
  */
 struct PlanarPrepared
 {
     SimdArch arch;
     SimdSchedule sched;
-    uint64_t depth = 0; ///< Levelized circuit depth, in levels.
 
     PlanarPrepared(const circuit::Circuit &circ,
                    const PlanarOptions &opts);

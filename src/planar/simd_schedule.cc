@@ -8,7 +8,6 @@
 #include "circuit/gates.h"
 #include "circuit/schedule.h"
 #include "common/logging.h"
-#include "engine/sim.h"
 
 namespace qsurf::planar {
 
@@ -45,6 +44,7 @@ scheduleSimd(const circuit::Circuit &circ, const SimdArch &arch,
         home[static_cast<size_t>(q)] = q % arch.numRegions();
 
     SimdSchedule out;
+    out.depth = levels.depth;
     int k = arch.numRegions();
 
     // Bucket gates by level once (gate order stays ascending), so
@@ -63,6 +63,8 @@ scheduleSimd(const circuit::Circuit &circ, const SimdArch &arch,
     // Per-kind group slots, reused across levels (kind enum order ==
     // the old std::map<GateKind, ...> iteration order).
     std::vector<KindGroup> kind_groups(circuit::num_gate_kinds);
+    std::vector<KindGroup *> order;
+    order.reserve(kind_groups.size());
     std::vector<int> votes(static_cast<size_t>(k), 0);
 
     for (int level = 0; level < levels.depth; ++level) {
@@ -93,24 +95,19 @@ scheduleSimd(const circuit::Circuit &circ, const SimdArch &arch,
             }
         }
 
-        // Largest groups pick their region first; the engine ready
-        // queue breaks size ties FIFO (kind order), deterministically.
-        std::vector<KindGroup *> by_id;
-        engine::ReadyQueue group_order;
-        for (KindGroup &grp : kind_groups) {
-            if (grp.gate_indices.empty())
-                continue;
-            engine::ReadyEntry e;
-            e.k1 = -static_cast<int64_t>(grp.gate_indices.size());
-            e.id = static_cast<int>(by_id.size());
-            by_id.push_back(&grp);
-            group_order.insert(e);
-        }
-        if (by_id.empty())
+        // Largest groups pick their region first; the stable sort
+        // breaks size ties in kind order, deterministically.
+        order.clear();
+        for (KindGroup &grp : kind_groups)
+            if (!grp.gate_indices.empty())
+                order.push_back(&grp);
+        if (order.empty())
             continue;
-        std::vector<KindGroup *> order;
-        for (const engine::ReadyEntry &e : group_order)
-            order.push_back(by_id[static_cast<size_t>(e.id)]);
+        std::stable_sort(order.begin(), order.end(),
+                         [](const KindGroup *a, const KindGroup *b) {
+                             return a->gate_indices.size()
+                                 > b->gate_indices.size();
+                         });
 
         // A level with more kinds than regions serializes into
         // ceil(kinds / k) sub-steps; capacity splits add more.

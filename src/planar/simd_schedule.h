@@ -35,7 +35,10 @@ struct TeleportEvent
 /** Output of the SIMD scheduler. */
 struct SimdSchedule
 {
-    /** Number of logical timesteps (>= circuit depth). */
+    /** Levelized circuit depth, in levels. */
+    int depth = 0;
+
+    /** Number of logical timesteps (>= depth). */
     int steps = 0;
 
     /** Gates executed at each step. */

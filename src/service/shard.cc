@@ -427,11 +427,12 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
         return points;
     }
 
-    // The queue of chunks.  A chunk is a run of consecutive indices
-    // sharing the grid's three outermost axes (app, size, distance):
-    // only such points can share a prepare artifact, so one thread
-    // builds it.  A grid with fewer such blocks than twice the fleet
-    // width goes out a point at a time, so every worker gets work.
+    // The queue of chunks: runs of consecutive indices sharing the
+    // grid's three outermost axes (app, size, distance).  An (app,
+    // size) block shares its prepare artifacts; chunks split it by
+    // distance for balance.  With fewer such runs than twice the
+    // fleet width, points go out one at a time, so every worker
+    // gets work.
     size_t blocks =
         grid.apps.size() * grid.sizes.size() * grid.distances.size();
     size_t chunk_len =

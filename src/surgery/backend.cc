@@ -214,7 +214,6 @@ patchArtifactKey(const engine::WorkItem &item)
     std::ostringstream os;
     os << "patch/fp=" << std::hex << item.resolveFingerprint()
        << "/seed=" << c.seed << std::dec
-       << "/d=" << item.resolveDistance()
        << "/opt=" << (c.policy >= 2 ? 1 : 0)
        << "/obj=" << c.layout_objective
        << "/lane=" << c.lane_spacing

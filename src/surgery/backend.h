@@ -46,10 +46,10 @@ class PatchArtifact final : public engine::PreparedArtifact
 
 /**
  * @return the shared artifact key of @p item's patch machine —
- * circuit fingerprint, seed, resolved distance, layout flavor
- * (optimized = policy >= 2), objective, lane spacing and factory
- * ratio.  The surgery and hybrid backends both return exactly this
- * from artifactKey().
+ * circuit fingerprint, seed, layout flavor (optimized = policy >=
+ * 2), objective, lane spacing, factory ratio and fabric damage; not
+ * the distance, which the machine never reads.  The surgery and
+ * hybrid backends both return exactly this from artifactKey().
  */
 std::string patchArtifactKey(const engine::WorkItem &item);
 

@@ -3,12 +3,14 @@
  * Fabric defect-map tests: the seeded generator (deterministic,
  * density-scaling), explicit JSON device specs, the query surface
  * the architectures route and price with (dead tiles, disabled
- * links, error-rate regions, O(1) route exposure), and materialize()
- * precedence.
+ * links, error-rate regions, O(1) route exposure, safe to read from
+ * several threads), and materialize() precedence.
  */
 
 #include <gtest/gtest.h>
 
+#include <barrier>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -163,6 +165,30 @@ TEST(DefectMap, RouteExposureMatchesBruteForce)
                          static_cast<double>(dead) / area)
             << "bounding box " << a << " .. " << b;
     }
+}
+
+TEST(DefectMap, ConcurrentExposureReadsAreRaceFree)
+{
+    // Cached machines share their defect map across threads, and the
+    // hybrid arbiter prices every op with routeExposure(), so even
+    // the first read of a fresh map must only read.  Two threads
+    // released together query one fresh map; a lazily built table
+    // would be a data race that ThreadSanitizer reports.
+    DefectMap m = DefectMap::generate(16, 16, 0.1, 3);
+    ASSERT_GT(m.numDeadTiles(), 0);
+    std::barrier start(2);
+    double got[2] = {0, 0};
+    auto read = [&](int t) {
+        start.arrive_and_wait();
+        for (int y = 0; y < 16; ++y)
+            got[t] += m.routeExposure({0, y}, {15 - y, 15});
+    };
+    std::thread a(read, 0);
+    std::thread b(read, 1);
+    a.join();
+    b.join();
+    EXPECT_GT(got[0], 0.0);
+    EXPECT_EQ(got[0], got[1]);
 }
 
 TEST(DefectMap, MaterializePrecedence)

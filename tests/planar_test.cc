@@ -83,6 +83,7 @@ TEST(SimdSchedule, StepsCoverDepth)
 
     circuit::Dag dag(c);
     int depth = circuit::levelize(dag).depth;
+    EXPECT_EQ(sched.depth, depth);
     EXPECT_GE(sched.steps, depth)
         << "region/kind serialization can only add steps";
     // All gates accounted for.
@@ -90,6 +91,50 @@ TEST(SimdSchedule, StepsCoverDepth)
     for (int g : sched.gates_per_step)
         total += static_cast<uint64_t>(g);
     EXPECT_EQ(total, static_cast<uint64_t>(c.size()));
+}
+
+TEST(SimdSchedule, KindGroupsGoLargestFirstThenInKindOrder)
+{
+    // Two regions (qubit q lives in region q % 2) and two levels of
+    // three or four gate kinds, some groups of equal size.  The
+    // teleport list records the order the groups were visited in:
+    // largest first, size ties in kind order.
+    Circuit c(8);
+    c.addGate(GateKind::H, 0);
+    c.addGate(GateKind::H, 1);
+    c.addGate(GateKind::X, 2);
+    c.addGate(GateKind::X, 3);
+    c.addGate(GateKind::T, 4);
+    c.addGate(GateKind::T, 5);
+    c.addGate(GateKind::T, 6);
+    c.addGate(GateKind::Z, 7);
+    c.addGate(GateKind::CNOT, 1, 2);
+    c.addGate(GateKind::CNOT, 3, 4);
+    c.addGate(GateKind::CZ, 5, 6);
+    c.addGate(GateKind::S, 7);
+    c.addGate(GateKind::S, 0);
+
+    SimdSchedule sched = scheduleSimd(c, archFor(c, 2));
+    EXPECT_EQ(sched.depth, 2);
+    EXPECT_EQ(sched.steps, 4);
+    EXPECT_EQ(sched.serialization_steps, 2);
+    EXPECT_EQ(sched.gates_per_step, (std::vector<int>{8, 0, 5, 0}));
+    // Level 0 visits T (3), H, X (2 each), Z (1); level 1 visits S,
+    // CNOT (2 each), CZ (1).
+    const std::vector<TeleportEvent> expected = {
+        {0, 1, 0, 5}, {0, 1, 0, 1}, {0, 1, 0, 3},
+        {2, 1, 0, 7}, {2, 1, 0, 1}, {2, 1, 0, 3}, {2, 1, 0, 5}};
+    ASSERT_EQ(sched.teleports.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+        const TeleportEvent &got = sched.teleports[i];
+        EXPECT_EQ(got.step, expected[i].step) << "teleport " << i;
+        EXPECT_EQ(got.src_region, expected[i].src_region)
+            << "teleport " << i;
+        EXPECT_EQ(got.dst_region, expected[i].dst_region)
+            << "teleport " << i;
+        EXPECT_EQ(got.qubit, expected[i].qubit) << "teleport " << i;
+    }
+    EXPECT_EQ(sched.steps_with_teleports, 6);
 }
 
 TEST(SimdSchedule, TeleportsAreStepOrderedAndValid)

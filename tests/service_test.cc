@@ -1,10 +1,11 @@
 /**
  * @file
  * Prepare-cache and compile-service tests: single-flight and LRU
- * semantics of PrepareCache, artifact-key separation across seeds /
- * objectives / distances, and the load-bearing guarantee of the
- * whole subsystem — cached and uncached paths are bit-identical, at
- * any thread count, on every simulated backend.
+ * semantics of PrepareCache, artifact-key separation across seeds
+ * and objectives (one artifact serving every distance), and the
+ * load-bearing guarantee of the whole subsystem — cached and
+ * uncached paths are bit-identical, at any thread count, on every
+ * simulated backend.
  */
 
 #include <gtest/gtest.h>
@@ -190,7 +191,7 @@ struct ItemFixture
     }
 };
 
-TEST(ArtifactKeys, SeparateSeedObjectiveAndDistance)
+TEST(ArtifactKeys, SeparateSeedObjectiveAndLaneNotDistance)
 {
     ItemFixture fx;
     const engine::Backend &surgery =
@@ -208,9 +209,11 @@ TEST(ArtifactKeys, SeparateSeedObjectiveAndDistance)
     other.config.layout_objective = 2;
     EXPECT_NE(surgery.artifactKey(other), base);
 
+    // The patch machine never reads the distance: one artifact
+    // serves every distance of a sweep.
     other = fx.item;
     other.config.code_distance = 7;
-    EXPECT_NE(surgery.artifactKey(other), base);
+    EXPECT_EQ(surgery.artifactKey(other), base);
 
     other = fx.item;
     other.config.lane_spacing = 2;
@@ -253,7 +256,7 @@ TEST(ArtifactKeys, SurgeryAndHybridShareOnePatchMachine)
     EXPECT_EQ(cache.stats().entries, 1u);
 }
 
-TEST(ArtifactKeys, PlanarKeyIgnoresSeedButNotDistance)
+TEST(ArtifactKeys, PlanarKeyIgnoresSeedAndDistance)
 {
     ItemFixture fx;
     const engine::Backend &planar =
@@ -266,7 +269,47 @@ TEST(ArtifactKeys, PlanarKeyIgnoresSeedButNotDistance)
     EXPECT_EQ(planar.artifactKey(other), base);
     other = fx.item;
     other.config.code_distance = 7;
-    EXPECT_NE(planar.artifactKey(other), base);
+    EXPECT_EQ(planar.artifactKey(other), base);
+}
+
+TEST(ArtifactKeys, OneMachineServesEveryDistance)
+{
+    // A key without the distance is only sound if no builder reads
+    // it: one artifact built at d = 3 must reproduce the inline run
+    // at every distance, auto (0) included, on a clean fabric, a
+    // damaged one, a laned corridor layout and a capacity-bound
+    // SIMD machine.
+    ItemFixture fx;
+    engine::Registry &registry = engine::Registry::global();
+    std::vector<engine::RunConfig> configs(4, fx.item.config);
+    configs[1].defect_density = 0.1;
+    configs[1].defect_seed = 4;
+    configs[2].layout_objective = 2;
+    configs[2].lane_spacing = 2;
+    configs[3].region_capacity = 3;
+    for (const char *name :
+         {engine::backends::double_defect, engine::backends::surgery_sim,
+          engine::backends::hybrid_mixed, engine::backends::planar}) {
+        const engine::Backend &backend = registry.get(name);
+        for (size_t c = 0; c < configs.size(); ++c) {
+            engine::WorkItem built = fx.item;
+            built.config = configs[c];
+            built.config.code_distance = 3;
+            auto artifact = backend.buildArtifact(built);
+            ASSERT_NE(artifact, nullptr) << name;
+            for (int d : {3, 5, 7, 9, 0}) {
+                engine::WorkItem item = built;
+                item.config.code_distance = d;
+                EXPECT_EQ(backend.artifactKey(item),
+                          backend.artifactKey(built))
+                    << name << " config " << c << " d=" << d;
+                EXPECT_TRUE(sameMetrics(backend.run(item),
+                                        backend.run(item,
+                                                    artifact.get())))
+                    << name << " config " << c << " d=" << d;
+            }
+        }
+    }
 }
 
 TEST(ArtifactKeys, ModelBackendsAreNotCacheable)

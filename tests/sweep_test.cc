@@ -124,6 +124,57 @@ TEST(Sweep, PolicyAxisSharesOneSeededLayout)
                      results[1].metrics.extra("layout_cost"));
 }
 
+TEST(Sweep, ArtifactsAreBuiltOncePerProgram)
+{
+    // A point's layout seed depends on its program alone and no
+    // machine reads the distance, so a sweep builds each program's
+    // tiled, patch and SIMD machines once for every distance:
+    // 2 programs + 2 x 3 machines.
+    SweepGrid grid;
+    grid.apps = {{apps::AppKind::SQ, {8, 2}, ""},
+                 {apps::AppKind::GSE, {8, 2}, ""}};
+    grid.backends = {backends::double_defect, backends::planar,
+                     backends::surgery_sim, backends::hybrid_mixed};
+    grid.distances = {3, 5, 7};
+
+    service::PrepareCache cache;
+    SweepOptions cached;
+    cached.num_threads = 1;
+    cached.cache = &cache;
+    auto with_cache = SweepDriver().run(grid, cached);
+    EXPECT_EQ(cache.stats().misses, 8u);
+
+    SweepOptions uncached;
+    uncached.num_threads = 1;
+    uncached.use_cache = false;
+    EXPECT_EQ(canonicalSweepRows(with_cache),
+              canonicalSweepRows(SweepDriver().run(grid, uncached)));
+}
+
+TEST(Sweep, DamagedHybridSweepIsThreadInvariant)
+{
+    // Every distance shares one damaged patch machine, so four
+    // threads price hybrid ops against one defect map at once.
+    SweepGrid grid;
+    grid.apps = {{apps::AppKind::SHA1, {8, 1}, ""}};
+    grid.backends = {backends::hybrid_mixed};
+    grid.arbiters = {0, 1};
+    grid.distances = {3, 5, 7, 9};
+    grid.defects = {0.1};
+    grid.base.defect_seed = 4;
+
+    std::string rows[2];
+    for (int t : {0, 1}) {
+        service::PrepareCache cache;
+        SweepOptions opts;
+        opts.num_threads = t ? 4 : 1;
+        opts.cache = &cache;
+        rows[t] = canonicalSweepRows(SweepDriver().run(grid, opts));
+        EXPECT_EQ(cache.stats().misses, 2u);
+    }
+    EXPECT_EQ(rows[0], rows[1]);
+}
+
 TEST(Sweep, ModelBackendsSweepSizesWithoutCircuits)
 {
     SweepGrid grid;
