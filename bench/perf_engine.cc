@@ -1,13 +1,13 @@
 /**
  * @file
  * Simulator-performance microbenchmark: the event-driven
- * fast-forward against its own pre-change baseline.
+ * fast-forward against the cycle-stepped loop.
  *
- * Every simulated backend accepts fast_forward=false, which
- * reproduces the original one-cycle-at-a-time loop exactly, so this
- * bench measures the speedup honestly on the machine it runs on: the
+ * Every simulated backend accepts fast_forward=false, which runs the
+ * one-cycle-at-a-time loop that walks every placement attempt, so
+ * this bench measures the speedup on the machine it runs on: the
  * same large-d sweep grid (all three simulated communication
- * schemes) executes twice — baseline loop, then event-driven — and
+ * schemes) executes twice — stepped loop, then event-driven — and
  * BENCH_perf.json records per-point and total wall clock, simulated
  * cycles per second, the fast-forward skip ratio, and whether the
  * two modes stayed bit-identical (they must; a mismatch makes the
@@ -102,17 +102,13 @@ main(int argc, char **argv)
     opts.num_threads = 1;
     opts.heap_alloc_counter = [] { return benchhook::heapAllocs(); };
 
-    // Baseline first: the pre-change simulator, reproduced exactly —
-    // cycle-stepped loop plus the legacy (allocating, double-walk)
-    // hot paths, with the scratch arena disabled so its allocation
-    // column is the pre-arena heap behaviour.
+    // Baseline first: the cycle-stepped loop, with the scratch arena
+    // disabled so its allocation column is plain heap behaviour.
     grid.base.fast_forward = false;
-    grid.base.legacy_baseline = true;
     engine::SweepOptions baseline_opts = opts;
     baseline_opts.use_arena = false;
     auto baseline = engine::SweepDriver().run(grid, baseline_opts);
     grid.base.fast_forward = true;
-    grid.base.legacy_baseline = false;
     auto fast = engine::SweepDriver().run(grid, opts);
     fatalIf(baseline.size() != fast.size(),
             "mode runs expanded to different grids");

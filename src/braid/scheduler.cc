@@ -172,7 +172,6 @@ class Simulator
         engine::RouteClaimOptions c;
         c.adapt_timeout = opts.adapt_timeout;
         c.bfs_timeout = opts.bfs_timeout;
-        c.legacy_paths = opts.legacy_paths;
         return c;
     }
 

@@ -95,14 +95,6 @@ struct BraidOptions
      */
     bool fast_forward = true;
 
-    /**
-     * Use the pre-optimization claim paths (double-walk claims,
-     * per-detour BFS allocation); identical results, original cost.
-     * Together with fast_forward = false this reproduces the
-     * pre-change simulator for honest baseline measurement.
-     */
-    bool legacy_paths = false;
-
     /** Layout RNG seed. */
     uint64_t seed = 1;
 

@@ -97,7 +97,6 @@ writeRunConfig(JsonWriter &j, const RunConfig &c)
     j.field("region_capacity", c.region_capacity);
     j.field("kq", c.kq);
     j.field("fast_forward", c.fast_forward);
-    j.field("legacy_baseline", c.legacy_baseline);
     j.field("magic_production_cycles", c.magic_production_cycles);
     j.field("magic_buffer_capacity", c.magic_buffer_capacity);
     j.field("adapt_timeout", c.adapt_timeout);

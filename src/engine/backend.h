@@ -146,16 +146,6 @@ struct RunConfig
     bool fast_forward = true;
 
     /**
-     * Reproduce the pre-optimization execution paths everywhere
-     * they were replaced (cycle-aligned double-walk claims,
-     * per-detour BFS allocation, quadratic planar level scan).
-     * Combined with fast_forward = false this is the pre-change
-     * simulator, bit for bit — bench/perf_engine's recorded
-     * baseline.
-     */
-    bool legacy_baseline = false;
-
-    /**
      * Cycles a magic-state factory needs to distill one state, for
      * the double-defect backend; 0 means production is never the
      * bottleneck (Section 4.3's factories sized off the critical

@@ -117,7 +117,6 @@ class DoubleDefectBackend : public Backend
         opts.code_distance = d;
         opts.seed = item.config.seed;
         opts.fast_forward = item.config.fast_forward;
-        opts.legacy_paths = item.config.legacy_baseline;
         opts.adapt_timeout = item.config.adapt_timeout;
         opts.bfs_timeout = item.config.bfs_timeout;
         opts.drop_timeout = item.config.drop_timeout;
@@ -214,8 +213,7 @@ class PlanarBackend : public Backend
         std::ostringstream os;
         os << "simd/fp=" << std::hex << item.resolveFingerprint()
            << std::dec << "/r=" << item.config.num_simd_regions
-           << "/cap=" << item.config.region_capacity
-           << "/legacy=" << (item.config.legacy_baseline ? 1 : 0);
+           << "/cap=" << item.config.region_capacity;
         return os.str();
     }
 
@@ -225,7 +223,6 @@ class PlanarBackend : public Backend
         planar::PlanarOptions opts;
         opts.num_regions = item.config.num_simd_regions;
         opts.region_capacity = item.config.region_capacity;
-        opts.legacy_level_scan = item.config.legacy_baseline;
         return std::make_shared<const PlanarArtifact>(*item.circuit,
                                                       opts);
     }
@@ -242,7 +239,6 @@ class PlanarBackend : public Backend
         opts.epr_window_steps = item.config.epr_window_steps;
         opts.epr_bandwidth = item.config.epr_bandwidth;
         opts.tech = item.config.tech;
-        opts.legacy_level_scan = item.config.legacy_baseline;
         opts.trace = item.config.trace;
         planar::PlanarResult r;
         if (artifact) {
@@ -348,8 +344,8 @@ registerBuiltinBackends(Registry &registry)
         std::make_unique<ModelBackend>(qec::CodeKind::Planar));
     registry.add(
         std::make_unique<ModelBackend>(qec::CodeKind::DoubleDefect));
-    surgery::registerSurgeryBackends(registry);
-    hybrid::registerHybridBackend(registry);
+    surgery::registerSurgeryModel(registry);
+    hybrid::registerHybridBackends(registry);
 }
 
 } // namespace qsurf::engine

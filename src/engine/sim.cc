@@ -11,25 +11,19 @@ namespace qsurf::engine {
 namespace {
 
 /**
- * The single-walk claim, or the pre-change double walk when
- * @p legacy (for honest A/B baselines).  A failure appends the
+ * Claim @p path for @p owner in one walk.  A failure appends the
  * first busy resource to @p blockers when non-null.
  */
 bool
 claimRoute(network::Mesh &mesh, const network::Path &path, int owner,
-           bool legacy, network::Blockers *blockers)
+           network::Blockers *blockers)
 {
     network::ResourceId busy = network::Mesh::no_resource;
-    bool free = legacy ? mesh.routeFree(path, owner, &busy)
-                       : mesh.tryClaim(path, owner, &busy);
-    if (!free) {
-        if (blockers)
-            blockers->push_back(busy);
-        return false;
-    }
-    if (legacy)
-        mesh.claim(path, owner);
-    return true;
+    if (mesh.tryClaim(path, owner, &busy))
+        return true;
+    if (blockers)
+        blockers->push_back(busy);
+    return false;
 }
 
 /**
@@ -49,18 +43,6 @@ endHeld(const network::Mesh &mesh, const Coord &end, int owner, int lent,
     return true;
 }
 
-/** The BFS detour, on a fresh working set when @p legacy. */
-std::optional<network::Path>
-detourRoute(const network::Mesh &mesh, const Coord &src,
-            const Coord &dst, int owner, network::BfsScratch &scratch,
-            bool legacy, network::Blockers *blockers)
-{
-    if (legacy)
-        return network::adaptiveRoute(mesh, src, dst, owner, blockers);
-    return network::adaptiveRoute(mesh, src, dst, owner, scratch,
-                                  blockers);
-}
-
 } // namespace
 
 std::optional<network::Path>
@@ -74,20 +56,19 @@ RouteClaimer::tryClaim(const Coord &src, const Coord &dst, int owner,
         return std::nullopt;
     network::Path first = yx_first ? network::yxRoute(src, dst)
                                    : network::xyRoute(src, dst);
-    if (claimRoute(mesh_, first, owner, opts_.legacy_paths, blockers))
+    if (claimRoute(mesh_, first, owner, blockers))
         return first;
     if (wait >= opts_.adapt_timeout) {
         network::Path second = yx_first ? network::xyRoute(src, dst)
                                         : network::yxRoute(src, dst);
-        if (claimRoute(mesh_, second, owner, opts_.legacy_paths,
-                       blockers)) {
+        if (claimRoute(mesh_, second, owner, blockers)) {
             ++transpose_fallbacks_;
             return second;
         }
     }
     if (wait >= opts_.bfs_timeout) {
-        auto detour = detourRoute(mesh_, src, dst, owner, scratch_,
-                                  opts_.legacy_paths, blockers);
+        auto detour = network::adaptiveRoute(mesh_, src, dst, owner,
+                                             scratch_, blockers);
         if (detour) {
             ++bfs_detours_;
             mesh_.claim(*detour, owner);
@@ -163,18 +144,16 @@ ChainClaimer::tryClaim(const network::Path &primary,
     setEndpointReserved(src, false);
     setEndpointReserved(dst, false);
 
-    if (claimRoute(mesh_, primary, owner, opts_.legacy_paths,
-                   blockers))
+    if (claimRoute(mesh_, primary, owner, blockers))
         return primary;
     if (wait >= opts_.adapt_timeout
-        && claimRoute(mesh_, fallback, owner, opts_.legacy_paths,
-                      blockers)) {
+        && claimRoute(mesh_, fallback, owner, blockers)) {
         ++transpose_fallbacks_;
         return fallback;
     }
     if (wait >= opts_.bfs_timeout) {
-        auto detour = detourRoute(mesh_, src, dst, owner, scratch_,
-                                  opts_.legacy_paths, blockers);
+        auto detour = network::adaptiveRoute(mesh_, src, dst, owner,
+                                             scratch_, blockers);
         if (detour) {
             ++bfs_detours_;
             mesh_.claim(*detour, owner);

@@ -152,14 +152,6 @@ struct RouteClaimOptions
 
     /** Cycles before falling back to the adaptive BFS detour. */
     int bfs_timeout = 8;
-
-    /**
-     * Use the pre-optimization claim paths: the routeFree-then-claim
-     * double walk and a freshly allocated BFS working set per detour
-     * search.  Identical results, original cost — bench/perf_engine
-     * sets this to record an honest pre-change baseline.
-     */
-    bool legacy_paths = false;
 };
 
 /**

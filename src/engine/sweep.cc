@@ -178,7 +178,6 @@ sweepGridFingerprint(const SweepGrid &grid)
     hashValue(h, c.region_capacity);
     hashValue(h, c.kq);
     hashValue(h, c.fast_forward);
-    hashValue(h, c.legacy_baseline);
     hashValue(h, c.magic_production_cycles);
     hashValue(h, c.magic_buffer_capacity);
     hashValue(h, c.adapt_timeout);

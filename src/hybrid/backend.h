@@ -1,10 +1,17 @@
 /**
  * @file
- * The mixed-scheme engine backend ("hybrid/mixed-sim"): braid
- * tracks, EPR-teleport channels and merge/split chains arbitrated
- * per operation on one shared patch machine, plugging into the
- * engine registry so the toolflow, the sweep driver and the figure
- * benches drive it exactly like the pure-scheme backends.
+ * The engine backends on the patch machine, both run by the hybrid
+ * scheduler and sharing one cached machine per grid point:
+ *
+ *  - "hybrid/mixed-sim": braid tracks, EPR-teleport channels and
+ *    merge/split chains arbitrated per operation
+ *    (RunConfig::hybrid_arbiter);
+ *  - "planar/surgery-sim": the lattice-surgery chain simulation of
+ *    Section 8.2, the scheduler pinned to ArbiterKind::ForceSurgery.
+ *
+ * They plug into the engine registry so the toolflow, the sweep
+ * driver and the figure benches drive them exactly like the other
+ * backends.
  */
 
 #ifndef QSURF_HYBRID_BACKEND_H
@@ -15,11 +22,11 @@
 namespace qsurf::hybrid {
 
 /**
- * Register the hybrid backend into @p registry (called by
- * engine::registerBuiltinBackends; exposed for private-registry
+ * Register the two patch-machine simulators into @p registry (called
+ * by engine::registerBuiltinBackends; exposed for private-registry
  * tests).
  */
-void registerHybridBackend(engine::Registry &registry);
+void registerHybridBackends(engine::Registry &registry);
 
 } // namespace qsurf::hybrid
 

@@ -9,7 +9,6 @@
 #include "circuit/schedule.h"
 #include "common/logging.h"
 #include "engine/sim.h"
-#include "surgery/chain_scheduler.h"
 #include "surgery/patch_arch.h"
 
 namespace qsurf::hybrid {
@@ -51,13 +50,15 @@ classify(const circuit::Gate &g)
     return arity == 2 ? OpClass::TwoQ : OpClass::Local;
 }
 
-/** Merge/split cost of a @p tiles-tile chain, in cycles (the
- *  surgery backend's formula, shared). */
+/** Merge/split cost of a chain across @p tiles patch tiles, in
+ *  cycles: rounds_per_hop boundary-stabilization rounds of d cycles
+ *  per tile. */
 uint64_t
 chainCycles(const HybridOptions &opts, int tiles)
 {
-    return surgery::chainCycles(opts.rounds_per_hop,
-                                opts.code_distance, tiles);
+    return static_cast<uint64_t>(std::llround(
+        opts.rounds_per_hop * static_cast<double>(opts.code_distance)
+        * static_cast<double>(std::max(1, tiles))));
 }
 
 /** Corridor hold time of a braid track, length-insensitive. */
@@ -272,6 +273,11 @@ class Simulator
         out.bfs_detours = claimer.bfsDetours();
         out.drops = drops;
         out.magic_starvations = magic_starvations;
+        out.total_chain_tiles = total_chain_tiles;
+        out.max_chain_tiles = max_chain_tiles;
+        auto chains = live_chains.summarize(cycle);
+        out.peak_live_chains = chains.peak;
+        out.avg_live_chains = chains.average;
         auto live = live_eprs.summarize(cycle);
         out.peak_live_eprs = live.peak;
         out.avg_live_eprs = live.average;
@@ -296,7 +302,6 @@ class Simulator
         engine::RouteClaimOptions c;
         c.adapt_timeout = opts.adapt_timeout;
         c.bfs_timeout = opts.bfs_timeout;
-        c.legacy_paths = opts.legacy_paths;
         return c;
     }
 
@@ -588,9 +593,15 @@ class Simulator
         } else {
             ++surgery_ops;
             int tiles = surgery::PatchArch::chainTiles(chain.hops());
+            // One cycle to turn the boundary measurements on, then
+            // the merge/split rounds across the whole corridor.
             duration = chainCycles(opts, tiles) + 1;
             lane = 3;
             tiles_held = tiles;
+            total_chain_tiles += static_cast<uint64_t>(tiles);
+            max_chain_tiles = std::max(max_chain_tiles,
+                                       static_cast<uint64_t>(tiles));
+            live_chains.add(cycle, cycle + duration);
         }
         op.route = std::move(chain);
         if (trace) {
@@ -743,6 +754,7 @@ class Simulator
     engine::ReadyQueue ready;
     engine::ExpiryQueue expiry;
     engine::LiveIntervalProfile live_eprs;
+    engine::LiveIntervalProfile live_chains;
     engine::FastForward ff;
     uint64_t cycle = 0;
 
@@ -762,6 +774,8 @@ class Simulator
     uint64_t placement_failures = 0;
     uint64_t drops = 0;
     uint64_t magic_starvations = 0;
+    uint64_t total_chain_tiles = 0;
+    uint64_t max_chain_tiles = 0;
 };
 
 } // namespace

@@ -24,6 +24,14 @@
  *    fixed teleport cost, queued on the channel overlay
  *    (prefetch-friendly, distance-sensitive, off-mesh).
  *
+ * Pinned to ArbiterKind::ForceSurgery this is the pure
+ * lattice-surgery machine of Section 8.2: every 2-qubit op and every
+ * T gate becomes one merge/split chain, the corridor between its
+ * operands (or to a factory patch) is claimed exclusively for the
+ * whole merge and split, and the chain statistics of HybridResult
+ * describe those holds.  The "planar/surgery-sim" backend runs
+ * exactly that.
+ *
  * The simulator reuses the engine's deterministic primitives —
  * ReadyQueue, ExpiryQueue, ChainClaimer, ChannelPool,
  * MagicFactoryPool, LiveIntervalProfile and the FastForward planner
@@ -125,9 +133,6 @@ struct HybridOptions
      *  (bit-identical either way). */
     bool fast_forward = true;
 
-    /** Pre-optimization claim paths, for honest A/B baselines. */
-    bool legacy_paths = false;
-
     /** Layout RNG seed. */
     uint64_t seed = 1;
 
@@ -192,6 +197,18 @@ struct HybridResult
     /** Time-averaged live EPR pairs. */
     double avg_live_eprs = 0;
 
+    /** Sum of merge/split chain lengths, in patch tiles. */
+    uint64_t total_chain_tiles = 0;
+
+    /** Longest merge/split chain placed, in patch tiles. */
+    uint64_t max_chain_tiles = 0;
+
+    /** Peak simultaneously live merge/split chains. */
+    uint64_t peak_live_chains = 0;
+
+    /** Time-averaged live merge/split chains. */
+    double avg_live_chains = 0;
+
     /** Interaction-weighted layout cost (Manhattan tiles). */
     double layout_cost = 0;
 
@@ -236,10 +253,10 @@ struct HybridResult
 };
 
 /**
- * @return the PatchArchOptions @p opts resolves to — field-for-field
- * the same mapping as surgery::patchArchOptions, which is what lets
- * the hybrid and surgery backends share one cached
- * surgery::PatchPrepared artifact.
+ * @return the PatchArchOptions @p opts resolves to — the layout
+ * inputs a cached surgery::PatchPrepared must have been built with.
+ * The arbiter is not among them, so every arbiter (and with it the
+ * surgery-sim backend) shares one artifact.
  */
 surgery::PatchArchOptions patchArchOptions(const HybridOptions &opts);
 

@@ -37,23 +37,19 @@ namespace {
 /**
  * Display name of an op-issue lane.  Lanes are scheme-relative: the
  * schedulers stamp OpIssue.a with their own lane index, and the
- * backend name picks the vocabulary.
+ * backend name picks the vocabulary.  The surgery simulator is the
+ * hybrid scheduler, so it shares the hybrid lanes.
  */
 const char *
 laneName(const std::string &backend, int64_t lane)
 {
-    if (backend.find("hybrid") != std::string::npos) {
+    if (backend.find("hybrid") != std::string::npos
+        || backend.find("surgery") != std::string::npos) {
         switch (lane) {
           case 0: return "ops/local";
           case 1: return "ops/braid";
           case 2: return "ops/teleport";
           case 3: return "ops/surgery";
-        }
-    } else if (backend.find("surgery") != std::string::npos) {
-        switch (lane) {
-          case 0: return "ops/local";
-          case 1: return "ops/t-chain";
-          case 2: return "ops/merge-chain";
         }
     } else if (backend.find("double-defect") != std::string::npos) {
         switch (lane) {
@@ -86,6 +82,7 @@ trackOf(const TraceEvent &e)
                                  e.a, 0, 3));
       case EventKind::OpReady:
       case EventKind::OpRetire:
+      case EventKind::ArbiterDecision:
         return track_lifecycle;
       case EventKind::RouteClaim:
       case EventKind::RouteFallback:

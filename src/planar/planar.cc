@@ -22,7 +22,7 @@ makeArchOptions(const circuit::Circuit &circ,
 PlanarPrepared::PlanarPrepared(const circuit::Circuit &circ,
                                const PlanarOptions &opts)
     : arch(makeArchOptions(circ, opts)),
-      sched(scheduleSimd(circ, arch, opts.legacy_level_scan))
+      sched(scheduleSimd(circ, arch))
 {
 }
 

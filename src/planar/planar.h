@@ -38,10 +38,6 @@ struct PlanarOptions
     /** Technology for the swap-chain latency model. */
     qec::Technology tech;
 
-    /** Reproduce the pre-optimization level scan (see
-     *  scheduleSimd); identical results, original cost. */
-    bool legacy_level_scan = false;
-
     /** Structured-event trace hook; null disables tracing (see
      *  obs/trace.h).  Never changes results. */
     obs::TraceRecorder *trace = nullptr;
@@ -111,7 +107,7 @@ PlanarResult runPlanar(const circuit::Circuit &circ,
 
 /**
  * Same run, reusing @p prepared (built for this circuit with the
- * same num_regions / region_capacity / legacy_level_scan);
+ * same num_regions / region_capacity);
  * bit-identical to the inline path.
  */
 PlanarResult runPlanar(const circuit::Circuit &circ,

@@ -1,7 +1,6 @@
 #include "planar/simd_schedule.h"
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 #include "circuit/dag.h"
@@ -25,8 +24,7 @@ struct KindGroup
 } // namespace
 
 SimdSchedule
-scheduleSimd(const circuit::Circuit &circ, const SimdArch &arch,
-             bool legacy_level_scan)
+scheduleSimd(const circuit::Circuit &circ, const SimdArch &arch)
 {
     fatalIf(circ.empty(), "cannot schedule an empty circuit");
 
@@ -48,51 +46,30 @@ scheduleSimd(const circuit::Circuit &circ, const SimdArch &arch,
     int k = arch.numRegions();
 
     // Bucket gates by level once (gate order stays ascending), so
-    // each level touches only its own gates: the per-level rescan of
-    // the whole circuit was quadratic for deep serial circuits.
-    // legacy_level_scan keeps the rescan for baseline measurement.
-    std::vector<std::vector<int>> level_gates;
-    if (!legacy_level_scan) {
-        level_gates.resize(static_cast<size_t>(levels.depth));
-        for (int i = 0; i < circ.size(); ++i)
-            level_gates[static_cast<size_t>(
-                            levels.asap[static_cast<size_t>(i)])]
-                .push_back(i);
-    }
+    // each level touches only its own gates: a per-level rescan of
+    // the whole circuit would be quadratic for deep serial circuits.
+    std::vector<std::vector<int>> level_gates(
+        static_cast<size_t>(levels.depth));
+    for (int i = 0; i < circ.size(); ++i)
+        level_gates[static_cast<size_t>(
+                        levels.asap[static_cast<size_t>(i)])]
+            .push_back(i);
 
-    // Per-kind group slots, reused across levels (kind enum order ==
-    // the old std::map<GateKind, ...> iteration order).
+    // Per-kind group slots, reused across levels, in kind enum
+    // order.
     std::vector<KindGroup> kind_groups(circuit::num_gate_kinds);
     std::vector<KindGroup *> order;
     order.reserve(kind_groups.size());
     std::vector<int> votes(static_cast<size_t>(k), 0);
 
     for (int level = 0; level < levels.depth; ++level) {
-        // Collect this level's gates by kind.  The legacy path is
-        // the pre-optimization code verbatim — full-circuit rescan
-        // into a freshly allocated per-level map (kind order ==
-        // the reused array's index order, so results match).
-        std::map<GateKind, KindGroup> legacy_groups;
+        // Collect this level's gates by kind.
         for (KindGroup &grp : kind_groups)
             grp.gate_indices.clear();
-        if (legacy_level_scan) {
-            for (int i = 0; i < circ.size(); ++i) {
-                if (levels.asap[static_cast<size_t>(i)] != level)
-                    continue;
-                auto &grp = legacy_groups[circ.gate(i).kind];
-                grp.kind = circ.gate(i).kind;
-                grp.gate_indices.push_back(i);
-            }
-            for (auto &[kind, grp] : legacy_groups)
-                kind_groups[static_cast<size_t>(kind)] =
-                    std::move(grp);
-        } else {
-            for (int i : level_gates[static_cast<size_t>(level)]) {
-                auto kind_index =
-                    static_cast<size_t>(circ.gate(i).kind);
-                kind_groups[kind_index].kind = circ.gate(i).kind;
-                kind_groups[kind_index].gate_indices.push_back(i);
-            }
+        for (int i : level_gates[static_cast<size_t>(level)]) {
+            auto kind_index = static_cast<size_t>(circ.gate(i).kind);
+            kind_groups[kind_index].kind = circ.gate(i).kind;
+            kind_groups[kind_index].gate_indices.push_back(i);
         }
 
         // Largest groups pick their region first; the stable sort

@@ -72,15 +72,9 @@ struct SimdSchedule
 /**
  * Schedule @p circ (already decomposed to Clifford+T) onto the
  * Multi-SIMD machine @p arch.
- *
- * @param legacy_level_scan reproduce the pre-optimization per-level
- *        full-circuit rescan (quadratic in depth) instead of the
- *        bucketed one; identical results, original cost — used by
- *        bench/perf_engine's pre-change baseline.
  */
 SimdSchedule scheduleSimd(const circuit::Circuit &circ,
-                          const SimdArch &arch,
-                          bool legacy_level_scan = false);
+                          const SimdArch &arch);
 
 } // namespace qsurf::planar
 

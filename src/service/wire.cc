@@ -253,8 +253,6 @@ readRunConfig(const JsonValue &cfg, engine::RunConfig &c)
         integer(cfg, "region_capacity", c.region_capacity);
     c.kq = num(cfg, "kq", c.kq);
     c.fast_forward = flag(cfg, "fast_forward", c.fast_forward);
-    c.legacy_baseline =
-        flag(cfg, "legacy_baseline", c.legacy_baseline);
     c.magic_production_cycles = integer(
         cfg, "magic_production_cycles", c.magic_production_cycles);
     c.magic_buffer_capacity = integer(cfg, "magic_buffer_capacity",

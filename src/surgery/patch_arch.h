@@ -268,9 +268,9 @@ class PatchArch
  * the dependence DAG, the interaction graph, the PatchArch geometry
  * (bisection, corridor refinement, lanes) and the per-gate
  * criticality.  Immutable once built and shared across concurrent
- * runs.  The surgery and hybrid simulators build their machines from
- * identical PatchArchOptions, so one PatchPrepared serves both;
- * handing a scheduler one is bit-identical to building it inline.
+ * runs: one PatchPrepared serves the hybrid scheduler under every
+ * arbiter, the surgery-sim backend included; handing the scheduler
+ * one is bit-identical to building it inline.
  */
 struct PatchPrepared
 {
@@ -286,9 +286,8 @@ struct PatchPrepared
 /**
  * Memoized corridor geometries.  A corridor's primary and transposed
  * routes are pure functions of its endpoints, but a contended op
- * would rebuild them every failed cycle — the schedulers (surgery
- * and hybrid alike) route through this cache so repeated attempts
- * are allocation-free.
+ * would rebuild them every failed cycle — the scheduler routes
+ * through this cache so repeated attempts are allocation-free.
  */
 class CorridorRouter
 {

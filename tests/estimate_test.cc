@@ -142,9 +142,10 @@ TEST(Crossover, ParallelAppsCrossLater)
     auto sq = crossoverSize(modelFor(AppKind::SQ));
     auto im = crossoverSize(modelFor(AppKind::IsingFull));
     ASSERT_TRUE(sq.has_value());
-    if (im.has_value())
+    if (im.has_value()) {
         EXPECT_GT(*im, *sq * 100)
             << "IM must cross over decades later than SQ";
+    }
 }
 
 TEST(Crossover, OrderingFollowsParallelism)
@@ -157,18 +158,20 @@ TEST(Crossover, OrderingFollowsParallelism)
     // GSE (1.2) and SQ (1.5) are both serial; their crossovers
     // nearly coincide, so allow one decade of slack.
     EXPECT_LE(*gse, *sq * 10);
-    if (sha.has_value())
+    if (sha.has_value()) {
         EXPECT_LT(*sq, *sha)
             << "SHA-1 (parallel) must cross later than SQ (serial)";
+    }
 }
 
 TEST(Crossover, SemiInlinedCrossesBeforeFullyInlined)
 {
     auto semi = crossoverSize(modelFor(AppKind::IsingSemi));
     auto full = crossoverSize(modelFor(AppKind::IsingFull));
-    if (semi.has_value() && full.has_value())
+    if (semi.has_value() && full.has_value()) {
         EXPECT_LE(*semi, *full)
             << "more inlining -> more parallelism -> later crossover";
+    }
 }
 
 TEST(Boundary, ProducesRequestedGrid)

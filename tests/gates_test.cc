@@ -50,11 +50,13 @@ TEST_P(GateKindTest, FlagsAreConsistent)
     // A gate cannot be both a measurement and a preparation.
     EXPECT_FALSE(isMeasurement(kind) && isPreparation(kind));
     // Magic-state consumers are not Clifford.
-    if (consumesMagicState(kind))
+    if (consumesMagicState(kind)) {
         EXPECT_FALSE(isClifford(kind));
+    }
     // Gates needing decomposition are never magic consumers directly.
-    if (needsDecomposition(kind))
+    if (needsDecomposition(kind)) {
         EXPECT_FALSE(consumesMagicState(kind));
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllGates, GateKindTest,

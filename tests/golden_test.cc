@@ -16,7 +16,9 @@
  * fast-forward jump disabled (the original one-cycle-at-a-time loop)
  * must produce identical results field by field, including under
  * aggressive escalation timeouts and factory-limited magic-state
- * production, which the fixed grid cannot reach.
+ * production, which the fixed grid cannot reach.  The surgery cases
+ * run the hybrid scheduler pinned to merge/split chains, which is
+ * what the planar/surgery-sim backend runs.
  */
 
 #include <gtest/gtest.h>
@@ -31,7 +33,7 @@
 #include "circuit/decompose.h"
 #include "engine/registry.h"
 #include "engine/sweep.h"
-#include "surgery/chain_scheduler.h"
+#include "hybrid/scheduler.h"
 
 namespace qsurf::engine {
 namespace {
@@ -116,19 +118,15 @@ goldenGrid()
 }
 
 void
-checkAgainstGoldens(int threads, bool legacy_baseline = false)
+checkAgainstGoldens(int threads, bool fast_forward = true)
 {
     SweepOptions opts;
     opts.num_threads = threads;
     SweepGrid grid = goldenGrid();
-    if (legacy_baseline) {
-        // bench/perf_engine's recorded baseline: the cycle-stepped
-        // loop on the pre-optimization execution paths.  It must
-        // reproduce the pinned values too, or the A/B perf numbers
-        // would compare different computations.
-        grid.base.fast_forward = false;
-        grid.base.legacy_baseline = true;
-    }
+    // The cycle-stepped loop is bench/perf_engine's baseline: it must
+    // reproduce the pinned values too, or the A/B perf numbers would
+    // compare different computations.
+    grid.base.fast_forward = fast_forward;
     auto results = SweepDriver().run(grid, opts);
     const auto &table = goldens();
     ASSERT_EQ(results.size(), table.size());
@@ -158,7 +156,7 @@ checkAgainstGoldens(int threads, bool legacy_baseline = false)
 TEST(Golden, OneThread) { checkAgainstGoldens(1); }
 TEST(Golden, TwoThreads) { checkAgainstGoldens(2); }
 TEST(Golden, EightThreads) { checkAgainstGoldens(8); }
-TEST(Golden, LegacyBaselineMode) { checkAgainstGoldens(1, true); }
+TEST(Golden, SteppedLoop) { checkAgainstGoldens(1, false); }
 
 /** One pinned hybrid point: the scheme-choice histogram and the
  *  arbitration counters, per arbiter. */
@@ -226,6 +224,76 @@ TEST(Golden, HybridSchemeHistogram)
             << what;
         EXPECT_EQ(static_cast<uint64_t>(m.extra("drops")), g.drops)
             << what;
+    }
+}
+
+/** One pinned surgery-sim point: the merge/split chain statistics,
+ *  the two doubles to the bit. */
+struct ChainGolden
+{
+    const char *app;
+    uint64_t schedule_cycles;
+    uint64_t chains_placed;
+    uint64_t total_chain_tiles;
+    uint64_t max_chain_tiles;
+    uint64_t peak_live_chains;
+    uint64_t avg_live_chains_bits;
+    uint64_t mesh_utilization_bits;
+};
+
+/**
+ * Captured from the dedicated chain scheduler surgery-sim ran before
+ * it moved onto the hybrid scheduler, at seed 1234, d = 5, on the
+ * golden grid's two apps with every knob the fixed grid leaves at
+ * its default turned on: the corridor+lanes layout (objective 2), a
+ * 10% damaged fabric and factories that need 40 cycles per state.
+ */
+TEST(Golden, SurgeryChainStatistics)
+{
+    static const std::vector<ChainGolden> table = {
+        {"SQ", 21144u, 730u, 3062u, 11u, 3u, 0x3ff7b91947c5e25cull,
+         0x3fb1ea5080f5099cull},
+        {"SHA-1", 8916u, 850u, 5500u, 37u, 20u, 0x40190e5b30cfa5f5ull,
+         0x3fb9e8b975593d27ull},
+    };
+
+    SweepGrid grid;
+    grid.apps = goldenGrid().apps;
+    grid.backends = {backends::surgery_sim};
+    grid.distances = {5};
+    grid.layout_objectives = {2};
+    grid.defects = {0.1};
+    grid.base.seed = 1234;
+    grid.base.magic_production_cycles = 40;
+    SweepOptions opts;
+    opts.num_threads = 2;
+    auto results = SweepDriver().run(grid, opts);
+    ASSERT_EQ(results.size(), table.size());
+    for (size_t i = 0; i < table.size(); ++i) {
+        const ChainGolden &g = table[i];
+        const Metrics &m = results[i].metrics;
+        EXPECT_EQ(results[i].app_name, g.app);
+        EXPECT_EQ(m.schedule_cycles, g.schedule_cycles) << g.app;
+        EXPECT_EQ(static_cast<uint64_t>(m.extra("chains_placed")),
+                  g.chains_placed)
+            << g.app;
+        EXPECT_EQ(static_cast<uint64_t>(m.extra("total_chain_tiles")),
+                  g.total_chain_tiles)
+            << g.app;
+        EXPECT_EQ(static_cast<uint64_t>(m.extra("max_chain_tiles")),
+                  g.max_chain_tiles)
+            << g.app;
+        EXPECT_EQ(static_cast<uint64_t>(m.extra("peak_live_chains")),
+                  g.peak_live_chains)
+            << g.app;
+        EXPECT_EQ(std::bit_cast<uint64_t>(m.extra("avg_live_chains")),
+                  g.avg_live_chains_bits)
+            << g.app << ": avg_live_chains " << std::hexfloat
+            << m.extra("avg_live_chains");
+        EXPECT_EQ(std::bit_cast<uint64_t>(m.extra("mesh_utilization")),
+                  g.mesh_utilization_bits)
+            << g.app << ": mesh_utilization " << std::hexfloat
+            << m.extra("mesh_utilization");
     }
 }
 
@@ -335,26 +403,33 @@ TEST(FastForwardMatchesBaseline, BraidTightTimeoutsAndStarvation)
     EXPECT_GT(ff.ff_skipped_cycles, 0u);
 }
 
+/** Hybrid options pinned to merge/split chains: surgery-sim's loop. */
+hybrid::HybridOptions
+surgeryOptions(int d, uint64_t seed)
+{
+    hybrid::HybridOptions opts;
+    opts.arbiter = hybrid::ArbiterKind::ForceSurgery;
+    opts.code_distance = d;
+    opts.seed = seed;
+    return opts;
+}
+
 TEST(FastForwardMatchesBaseline, SurgeryChains)
 {
     circuit::Circuit circ = circuit::decompose(
         apps::generate(apps::AppKind::SHA1, {8, 1}));
     for (int d : {5, 9}) {
-        surgery::SurgeryOptions opts;
-        opts.code_distance = d;
-        opts.seed = 3;
+        hybrid::HybridOptions opts = surgeryOptions(d, 3);
         opts.fast_forward = false;
-        surgery::SurgeryResult base =
-            surgery::scheduleSurgery(circ, opts);
+        hybrid::HybridResult base = hybrid::scheduleHybrid(circ, opts);
         opts.fast_forward = true;
-        surgery::SurgeryResult ff =
-            surgery::scheduleSurgery(circ, opts);
+        hybrid::HybridResult ff = hybrid::scheduleHybrid(circ, opts);
 
         std::string what = "surgery d=" + std::to_string(d);
         EXPECT_EQ(ff.schedule_cycles, base.schedule_cycles) << what;
         EXPECT_DOUBLE_EQ(ff.mesh_utilization, base.mesh_utilization)
             << what;
-        EXPECT_EQ(ff.chains_placed, base.chains_placed) << what;
+        EXPECT_EQ(ff.surgery_ops, base.surgery_ops) << what;
         EXPECT_EQ(ff.placement_failures, base.placement_failures)
             << what;
         EXPECT_EQ(ff.transpose_fallbacks, base.transpose_fallbacks)
@@ -378,19 +453,17 @@ TEST(FastForwardMatchesBaseline, SurgeryFactoryStarvation)
     // every replenishment that could re-stock a starved T merge.
     circuit::Circuit circ = circuit::decompose(
         apps::generate(apps::AppKind::SQ, {8, 2}));
-    surgery::SurgeryOptions opts;
-    opts.code_distance = 5;
+    hybrid::HybridOptions opts = surgeryOptions(5, 11);
     opts.magic_production_cycles = 60;
     opts.magic_buffer_capacity = 1;
-    opts.seed = 11;
 
     opts.fast_forward = false;
-    surgery::SurgeryResult base = surgery::scheduleSurgery(circ, opts);
+    hybrid::HybridResult base = hybrid::scheduleHybrid(circ, opts);
     opts.fast_forward = true;
-    surgery::SurgeryResult ff = surgery::scheduleSurgery(circ, opts);
+    hybrid::HybridResult ff = hybrid::scheduleHybrid(circ, opts);
 
     EXPECT_EQ(ff.schedule_cycles, base.schedule_cycles);
-    EXPECT_EQ(ff.chains_placed, base.chains_placed);
+    EXPECT_EQ(ff.surgery_ops, base.surgery_ops);
     EXPECT_EQ(ff.placement_failures, base.placement_failures);
     EXPECT_EQ(ff.drops, base.drops);
     EXPECT_EQ(ff.magic_starvations, base.magic_starvations);

@@ -10,7 +10,7 @@
 #include "braid/scheduler.h"
 #include "circuit/decompose.h"
 #include "common/logging.h"
-#include "surgery/chain_scheduler.h"
+#include "hybrid/scheduler.h"
 
 namespace qsurf::braid {
 namespace {
@@ -114,16 +114,24 @@ TEST(MagicFactory, ProgramOrderPolicyAlsoHonorsSupply)
 }
 
 /**
- * The lattice-surgery side of the same model: factory patches used
- * to be always stocked, so a T-heavy program never waited on
- * distillation.  The shared engine::MagicFactoryPool now gates
- * T-gate merges on supply.
+ * The lattice-surgery side of the same model (the hybrid scheduler
+ * pinned to merge/split chains): factory patches used to be always
+ * stocked, so a T-heavy program never waited on distillation.  The
+ * shared engine::MagicFactoryPool now gates T-gate merges on supply.
  */
-surgery::SurgeryOptions
+hybrid::HybridOptions
+surgeryOptions()
+{
+    hybrid::HybridOptions opts;
+    opts.arbiter = hybrid::ArbiterKind::ForceSurgery;
+    opts.code_distance = 3;
+    return opts;
+}
+
+hybrid::HybridOptions
 surgeryProduction(int cycles_per_state)
 {
-    surgery::SurgeryOptions opts;
-    opts.code_distance = 3;
+    hybrid::HybridOptions opts = surgeryOptions();
     opts.magic_production_cycles = cycles_per_state;
     return opts;
 }
@@ -131,29 +139,27 @@ surgeryProduction(int cycles_per_state)
 TEST(MagicFactorySurgery, UnlimitedProductionNeverStarves)
 {
     Circuit c = tHeavy(16, 6);
-    surgery::SurgeryOptions opts;
-    opts.code_distance = 3;
-    surgery::SurgeryResult r = surgery::scheduleSurgery(c, opts);
+    hybrid::HybridResult r = hybrid::scheduleHybrid(c, surgeryOptions());
     EXPECT_EQ(r.magic_starvations, 0u);
 }
 
 TEST(MagicFactorySurgery, SlowProductionStallsTGates)
 {
     Circuit c = tHeavy(16, 6);
-    surgery::SurgeryResult r =
-        surgery::scheduleSurgery(c, surgeryProduction(200));
+    hybrid::HybridResult r =
+        hybrid::scheduleHybrid(c, surgeryProduction(200));
     EXPECT_GT(r.magic_starvations, 0u)
         << "200-cycle distillation must starve a T-heavy program";
-    EXPECT_EQ(r.chains_placed, static_cast<uint64_t>(c.size()));
+    EXPECT_EQ(r.surgery_ops, static_cast<uint64_t>(c.size()));
 }
 
 TEST(MagicFactorySurgery, ProductionRateBoundsSchedule)
 {
     Circuit c = tHeavy(12, 4);
-    surgery::SurgeryResult fast =
-        surgery::scheduleSurgery(c, surgeryProduction(1));
-    surgery::SurgeryResult slow =
-        surgery::scheduleSurgery(c, surgeryProduction(400));
+    hybrid::HybridResult fast =
+        hybrid::scheduleHybrid(c, surgeryProduction(1));
+    hybrid::HybridResult slow =
+        hybrid::scheduleHybrid(c, surgeryProduction(400));
     EXPECT_GT(slow.schedule_cycles, fast.schedule_cycles * 2)
         << "distillation throughput must dominate a T-bound app";
 }
@@ -164,12 +170,10 @@ TEST(MagicFactorySurgery, CliffordProgramsUnaffected)
     for (int i = 0; i < 20; ++i)
         c.addGate(GateKind::CNOT, static_cast<int32_t>(i % 7),
                   static_cast<int32_t>(7));
-    surgery::SurgeryResult limited =
-        surgery::scheduleSurgery(c, surgeryProduction(1000));
-    surgery::SurgeryOptions unlimited;
-    unlimited.code_distance = 3;
-    surgery::SurgeryResult free_run =
-        surgery::scheduleSurgery(c, unlimited);
+    hybrid::HybridResult limited =
+        hybrid::scheduleHybrid(c, surgeryProduction(1000));
+    hybrid::HybridResult free_run =
+        hybrid::scheduleHybrid(c, surgeryOptions());
     EXPECT_EQ(limited.schedule_cycles, free_run.schedule_cycles);
     EXPECT_EQ(limited.magic_starvations, 0u);
 }

@@ -41,9 +41,10 @@ TEST(CodeModel, ChosenDistanceMeetsTarget)
             EXPECT_LE(CodeModel::logicalErrorPerOp(p, d),
                       CodeModel::targetLogicalError(kq));
             // Minimality: two less would not suffice (unless at min).
-            if (d > CodeModel::min_distance)
+            if (d > CodeModel::min_distance) {
                 EXPECT_GT(CodeModel::logicalErrorPerOp(p, d - 2),
                           CodeModel::targetLogicalError(kq));
+            }
         }
 }
 

@@ -679,8 +679,6 @@ TEST(CompileService, ResultKeyCoversEveryInputButLabelAndTrace)
          [](auto &r) { r.config.region_capacity = 64; }},
         {"kq", [](auto &r) { r.config.kq = 1e6; }},
         {"fast_forward", [](auto &r) { r.config.fast_forward = false; }},
-        {"legacy_baseline",
-         [](auto &r) { r.config.legacy_baseline = true; }},
         {"magic_production_cycles",
          [](auto &r) { r.config.magic_production_cycles = 10; }},
         {"magic_buffer_capacity",

@@ -5,7 +5,9 @@
  * shared corridor), agreement with the analytic Section 8.2 model's
  * latency trends (monotone in chain length and code distance), the
  * engine integration, and — the engine's central guarantee — sweep
- * results bit-identical at thread counts 1, 2 and 8.
+ * results bit-identical at thread counts 1, 2 and 8.  The simulator
+ * is the hybrid scheduler pinned to merge/split chains
+ * (ArbiterKind::ForceSurgery), as the surgery-sim backend runs it.
  */
 
 #include <gtest/gtest.h>
@@ -19,8 +21,9 @@
 #include "engine/sim.h"
 #include "engine/sweep.h"
 #include "estimate/lattice_surgery.h"
+#include "hybrid/scheduler.h"
 #include "surgery/backend.h"
-#include "surgery/chain_scheduler.h"
+#include "surgery/patch_arch.h"
 #include "toolflow/toolflow.h"
 
 namespace qsurf::surgery {
@@ -47,11 +50,25 @@ fourQubitArch()
     return PatchArch(circuit::interactionGraph(c), opts);
 }
 
-SurgeryOptions
+using hybrid::HybridOptions;
+using hybrid::HybridResult;
+using hybrid::scheduleHybrid;
+
+/** Hybrid options pinned to merge/split chains: surgery-sim's loop. */
+HybridOptions
+surgeryOptions(int d = 5)
+{
+    HybridOptions opts;
+    opts.arbiter = hybrid::ArbiterKind::ForceSurgery;
+    opts.code_distance = d;
+    return opts;
+}
+
+/** surgeryOptions() on the naive layout. */
+HybridOptions
 naiveOptions(int d = 5)
 {
-    SurgeryOptions opts;
-    opts.code_distance = d;
+    HybridOptions opts = surgeryOptions(d);
     opts.optimized_layout = false;
     return opts;
 }
@@ -411,21 +428,20 @@ TEST(Scheduler, LayoutObjectivesRunAndStayConsistent)
     circ.addGate(circuit::GateKind::CNOT, 0, 8);
     circ.addGate(circuit::GateKind::T, 4);
 
-    SurgeryOptions opts;
-    opts.code_distance = 3;
+    HybridOptions opts = surgeryOptions(3);
     opts.optimized_layout = true;
     opts.layout_objective = partition::LayoutObjective::BraidManhattan;
-    SurgeryResult manhattan_r = scheduleSurgery(circ, opts);
+    HybridResult manhattan_r = scheduleHybrid(circ, opts);
 
     opts.layout_objective = partition::LayoutObjective::Corridor;
-    SurgeryResult corridor_r = scheduleSurgery(circ, opts);
+    HybridResult corridor_r = scheduleHybrid(circ, opts);
     EXPECT_LE(corridor_r.corridor_cost, manhattan_r.corridor_cost);
-    EXPECT_EQ(corridor_r.chains_placed, manhattan_r.chains_placed);
+    EXPECT_EQ(corridor_r.surgery_ops, manhattan_r.surgery_ops);
     EXPECT_DOUBLE_EQ(corridor_r.lane_area_factor, 1.0);
 
     opts.layout_objective = partition::LayoutObjective::CorridorLanes;
     opts.lane_spacing = 2;
-    SurgeryResult lanes_r = scheduleSurgery(circ, opts);
+    HybridResult lanes_r = scheduleHybrid(circ, opts);
     EXPECT_GT(lanes_r.lane_area_factor, 1.0);
     EXPECT_GT(lanes_r.schedule_cycles, 0u);
 }
@@ -500,10 +516,10 @@ TEST(Scheduler, SharedCorridorCostsMoreThanDisjointMerges)
     crossing.addGate(circuit::GateKind::CNOT, 0, 3);
     crossing.addGate(circuit::GateKind::CNOT, 1, 2);
 
-    SurgeryResult r_disjoint =
-        scheduleSurgery(disjoint, naiveOptions());
-    SurgeryResult r_crossing =
-        scheduleSurgery(crossing, naiveOptions());
+    HybridResult r_disjoint =
+        scheduleHybrid(disjoint, naiveOptions());
+    HybridResult r_crossing =
+        scheduleHybrid(crossing, naiveOptions());
     EXPECT_GT(r_crossing.schedule_cycles,
               r_disjoint.schedule_cycles);
     EXPECT_GT(r_crossing.placement_failures, 0u);
@@ -517,7 +533,7 @@ TEST(Scheduler, ChainCostMonotoneInDistanceLikeTheModel)
     circuit::Circuit c = endToEndCnot(16);
     uint64_t prev = 0;
     for (int d : {3, 5, 9}) {
-        SurgeryResult r = scheduleSurgery(c, naiveOptions(d));
+        HybridResult r = scheduleHybrid(c, naiveOptions(d));
         EXPECT_GT(r.schedule_cycles, prev)
             << "schedule must grow with code distance d=" << d;
         prev = r.schedule_cycles;
@@ -530,8 +546,8 @@ TEST(Scheduler, ChainCostMonotoneInHopsLikeTheModel)
     // model's rounds_per_hop * d * route_len term.
     uint64_t prev = 0;
     for (int n : {4, 16, 64}) {
-        SurgeryResult r =
-            scheduleSurgery(endToEndCnot(n), naiveOptions());
+        HybridResult r =
+            scheduleHybrid(endToEndCnot(n), naiveOptions());
         EXPECT_GT(r.schedule_cycles, prev)
             << "schedule must grow with separation, n=" << n;
         prev = r.schedule_cycles;
@@ -548,11 +564,11 @@ TEST(Scheduler, ScheduleIsBoundedBelowByCriticalPath)
 {
     for (int n : {4, 9, 25}) {
         circuit::Circuit c = endToEndCnot(n);
-        SurgeryOptions opts = naiveOptions();
-        SurgeryResult r = scheduleSurgery(c, opts);
+        HybridOptions opts = naiveOptions();
+        HybridResult r = scheduleHybrid(c, opts);
         EXPECT_GE(r.schedule_cycles, r.critical_path_cycles);
         EXPECT_GT(r.critical_path_cycles, 0u);
-        EXPECT_EQ(r.chains_placed, 1u);
+        EXPECT_EQ(r.surgery_ops, 1u);
         EXPECT_GE(r.max_chain_tiles, 1u);
     }
 }
@@ -579,10 +595,9 @@ TEST(Backend, SimMatchesDirectSimulation)
     item.config.code_distance = 5;
     item.config.seed = 7;
 
-    SurgeryOptions opts;
-    opts.code_distance = 5;
+    HybridOptions opts = surgeryOptions(5);
     opts.seed = 7;
-    SurgeryResult direct = scheduleSurgery(circ, opts);
+    HybridResult direct = scheduleHybrid(circ, opts);
 
     const engine::Backend &b =
         engine::Registry::global().get(engine::backends::surgery_sim);
@@ -684,6 +699,32 @@ TEST(Sweep, SurgeryDeterministicAcrossThreadCounts)
     }
 }
 
+TEST(Backend, SimIgnoresHybridArbiter)
+{
+    // The arbiter is pinned to ForceSurgery: every hybrid_arbiter
+    // value, even one the hybrid backend rejects, runs the default
+    // row.
+    circuit::Circuit circ = circuit::decompose(
+        apps::generate(apps::AppKind::SQ, {8, 2}));
+    const engine::Registry &registry = engine::Registry::global();
+    const engine::Backend &b =
+        registry.get(engine::backends::surgery_sim);
+    engine::WorkItem item;
+    item.circuit = &circ;
+    item.config.code_distance = 5;
+    b.prepare(item);
+    engine::Metrics want = b.run(item);
+    for (int arbiter : {0, 1, 2, 3, 4, 7}) {
+        item.config.hybrid_arbiter = arbiter;
+        EXPECT_NO_THROW(b.prepare(item)) << "arbiter " << arbiter;
+        EXPECT_TRUE(identical(b.run(item), want))
+            << "arbiter " << arbiter;
+    }
+    EXPECT_THROW(
+        registry.get(engine::backends::hybrid_mixed).prepare(item),
+        FatalError);
+}
+
 TEST(PatchArch, LayoutNeverPlacesOnDeadPatches)
 {
     circuit::Circuit c("probe", 9);
@@ -770,31 +811,30 @@ TEST(Scheduler, DamagedFabricStillSchedulesEveryGate)
     circuit::Circuit c("probe", 6);
     for (int32_t q = 0; q + 1 < 6; ++q)
         c.addGate(circuit::GateKind::CNOT, q, q + 1);
-    SurgeryOptions opts = naiveOptions();
+    HybridOptions opts = naiveOptions();
     opts.defects.density = 0.15;
     opts.defects.seed = 11;
-    SurgeryResult r = scheduleSurgery(c, opts);
+    HybridResult r = scheduleHybrid(c, opts);
     EXPECT_GT(r.schedule_cycles, 0u);
     EXPECT_GT(r.defective_nodes + r.defective_links, 0u);
     EXPECT_GT(r.defect_dead_fraction, 0.0);
 
     // The same workload on the healthy fabric is never slower.
-    SurgeryResult healthy = scheduleSurgery(c, naiveOptions());
+    HybridResult healthy = scheduleHybrid(c, naiveOptions());
     EXPECT_GE(r.schedule_cycles, healthy.schedule_cycles);
 }
 
 TEST(Scheduler, RejectsBadInput)
 {
     circuit::Circuit empty("empty", 2);
-    EXPECT_THROW(scheduleSurgery(empty, {}), FatalError);
+    EXPECT_THROW(scheduleHybrid(empty, surgeryOptions()), FatalError);
 
     circuit::Circuit c = endToEndCnot(4);
-    SurgeryOptions opts;
-    opts.code_distance = 0;
-    EXPECT_THROW(scheduleSurgery(c, opts), FatalError);
-    opts = {};
+    HybridOptions opts = surgeryOptions(0);
+    EXPECT_THROW(scheduleHybrid(c, opts), FatalError);
+    opts = surgeryOptions();
     opts.rounds_per_hop = 0;
-    EXPECT_THROW(scheduleSurgery(c, opts), FatalError);
+    EXPECT_THROW(scheduleHybrid(c, opts), FatalError);
 }
 
 } // namespace

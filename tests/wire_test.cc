@@ -214,7 +214,6 @@ TEST(WireCodec, CompileRequestRoundTripsEveryField)
     req.config.region_capacity = 96;
     req.config.kq = 1e7;
     req.config.fast_forward = false;
-    req.config.legacy_baseline = true;
     req.config.magic_production_cycles = 12;
     req.config.magic_buffer_capacity = 7;
     req.config.adapt_timeout = 6;
@@ -259,7 +258,6 @@ TEST(WireCodec, CompileRequestRoundTripsEveryField)
     EXPECT_EQ(b.region_capacity, a.region_capacity);
     EXPECT_EQ(b.kq, a.kq);
     EXPECT_EQ(b.fast_forward, a.fast_forward);
-    EXPECT_EQ(b.legacy_baseline, a.legacy_baseline);
     EXPECT_EQ(b.magic_production_cycles, a.magic_production_cycles);
     EXPECT_EQ(b.magic_buffer_capacity, a.magic_buffer_capacity);
     EXPECT_EQ(b.adapt_timeout, a.adapt_timeout);
