@@ -96,23 +96,19 @@ ChainClaimer::reserveTerminal(const Coord &terminal)
 void
 ChainClaimer::setEndpointReserved(const Coord &c, bool reserved)
 {
-    int sentinel = reserved_[static_cast<size_t>(
-        linearIndex(c, mesh_.width()))];
+    int node = linearIndex(c, mesh_.width());
+    int sentinel = reserved_[static_cast<size_t>(node)];
     if (sentinel < 0)
         return;
-    network::Path node;
-    node.nodes.push_back(c);
     // The terminal may be engaged in another live chain (two
     // commuting ops can share a qubit): only the sentinel's own
-    // hold is suspended or restored, never a chain's.
-    if (reserved) {
-        if (mesh_.nodeOwner(c) == network::Mesh::no_owner)
-            mesh_.claim(node, sentinel);
-    } else if (mesh_.nodeOwner(c) == sentinel) {
-        // Lent to this one claim, not released: every other chain
-        // still finds the terminal held.
-        mesh_.suspend(node, sentinel);
-    }
+    // hold is suspended or restored, never a chain's.  Suspended, it
+    // is lent to this one claim, not released: every other chain
+    // still finds the terminal held.
+    if (reserved)
+        mesh_.holdNode(node, sentinel);
+    else
+        mesh_.suspendNode(node, sentinel);
 }
 
 bool
@@ -266,16 +262,15 @@ FailMemos::forget(int id)
 }
 
 LiveIntervalProfile::Summary
-LiveIntervalProfile::summarize(uint64_t total_cycles) const
+LiveIntervalProfile::summarize(uint64_t total_cycles)
 {
-    std::vector<std::pair<uint64_t, int>> deltas = deltas_;
-    std::sort(deltas.begin(), deltas.end());
+    std::sort(deltas_.begin(), deltas_.end());
 
     Summary out;
     int64_t live = 0;
     uint64_t prev_time = 0;
     double live_cycles = 0;
-    for (const auto &[time, delta] : deltas) {
+    for (const auto &[time, delta] : deltas_) {
         live_cycles += static_cast<double>(live)
                      * static_cast<double>(time - prev_time);
         prev_time = time;

@@ -477,7 +477,7 @@ class ChainClaimer
     uint64_t bfsDetours() const { return bfs_detours_; }
 
   private:
-    /** Suspend (true) or restore (false) an endpoint reservation. */
+    /** Restore (true) or suspend (false) an endpoint reservation. */
     void setEndpointReserved(const Coord &c, bool reserved);
 
     /** First sentinel owner id; far above any op id. */
@@ -659,8 +659,8 @@ appendStockedFactories(const MagicFactoryPool &pool,
  * is the whole proof: every stage's route passes through it, so the
  * claimers check both endpoints first and report the held one alone,
  * and the memo replays until it is released.  (A terminal's own
- * reservation, which Mesh::suspend() lends out without a stamp, never
- * counts as held.)  Otherwise an attempt's blockers are the first
+ * reservation, which Mesh::suspendNode() lends out without a stamp,
+ * never counts as held.)  Otherwise an attempt's blockers are the first
  * busy resource of every route it tried and, for a BFS detour, the
  * busy resources bounding the region the search explored: any free
  * path would have to cross one of them.  A starvation has none; only
@@ -798,8 +798,9 @@ class LiveIntervalProfile
         double average = 0; ///< Time-averaged population.
     };
 
-    /** Summarize over @p total_cycles (for the average). */
-    Summary summarize(uint64_t total_cycles) const;
+    /** Summarize over @p total_cycles (for the average).  Sorts the
+     *  recorded deltas in place rather than a copy of them. */
+    Summary summarize(uint64_t total_cycles);
 
   private:
     std::vector<std::pair<uint64_t, int>> deltas_;

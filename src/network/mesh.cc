@@ -179,26 +179,14 @@ Mesh::claim(const Path &path, int owner)
 void
 Mesh::release(const Path &path, int owner)
 {
-    unclaim(path, owner, ++releases);
-}
-
-void
-Mesh::suspend(const Path &path, int owner)
-{
-    unclaim(path, owner, 0);
-}
-
-void
-Mesh::unclaim(const Path &path, int owner, uint64_t stamp)
-{
+    uint64_t stamp = ++releases;
     int prev = -1;
     for (const Coord &c : path.nodes) {
         int ni = nodeIndexFast(c);
         auto &node = node_owner[static_cast<size_t>(ni)];
         if (node == owner) {
             node = no_owner;
-            if (stamp)
-                release_stamp[static_cast<size_t>(ni)] = stamp;
+            release_stamp[static_cast<size_t>(ni)] = stamp;
         }
         if (prev >= 0) {
             int li = linkIndexFast(prev, ni);
@@ -206,9 +194,8 @@ Mesh::unclaim(const Path &path, int owner, uint64_t stamp)
             if (link == owner) {
                 link = no_owner;
                 --busy_links;
-                if (stamp)
-                    release_stamp[static_cast<size_t>(numNodes() + li)] =
-                        stamp;
+                release_stamp[static_cast<size_t>(numNodes() + li)] =
+                    stamp;
             }
         }
         prev = ni;

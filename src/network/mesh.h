@@ -222,14 +222,33 @@ class Mesh
     void release(const Path &path, int owner);
 
     /**
-     * Free like release(), but without stamping: for a hold that is
-     * lent out only for the span of one claim attempt, after which
-     * the holder takes it back or the claimer keeps it (a patch
-     * terminal's reservation, suspended while a chain ending there
-     * claims).  To every other requester the resource never came
-     * free.
+     * Free router @p node (a node index) when @p owner holds it, like
+     * release() but without stamping: for a hold that is lent out
+     * only for the span of one claim attempt, after which the holder
+     * takes it back or the claimer keeps it (a patch terminal's
+     * reservation, suspended while a chain ending there claims).  To
+     * every other requester the router never came free.
      */
-    void suspend(const Path &path, int owner);
+    void
+    suspendNode(int node, int owner)
+    {
+        int &cur = node_owner[static_cast<size_t>(node)];
+        if (cur == owner)
+            cur = no_owner;
+    }
+
+    /**
+     * Take router @p node (a node index) for @p owner when it is
+     * free, and leave it as it is when anyone holds it: restores a
+     * hold that suspendNode() lent out and no claim kept.
+     */
+    void
+    holdNode(int node, int owner)
+    {
+        int &cur = node_owner[static_cast<size_t>(node)];
+        if (cur == no_owner)
+            cur = owner;
+    }
 
     /** @return release() calls so far: the latest release stamp. */
     uint64_t releaseCount() const { return releases; }
@@ -371,10 +390,6 @@ class Mesh
     {
         return cur != no_owner && cur != owner;
     }
-
-    /** Free @p path's resources held by @p owner, stamping each with
-     *  @p stamp unless it is 0. */
-    void unclaim(const Path &path, int owner, uint64_t stamp);
 
     int w;
     int h;

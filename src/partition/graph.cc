@@ -84,4 +84,45 @@ cutWeight(const Graph &g, const std::vector<int> &side)
     return cut;
 }
 
+void
+FlatGraph::assign(const Graph &g)
+{
+    int n = g.size();
+    vweight.resize(static_cast<size_t>(n));
+    offset.resize(static_cast<size_t>(n) + 1);
+    size_t arcs = 0;
+    for (int v = 0; v < n; ++v)
+        arcs += g.neighbors(v).size();
+    to.clear();
+    weight.clear();
+    to.reserve(arcs);
+    weight.reserve(arcs);
+    offset[0] = 0;
+    for (int v = 0; v < n; ++v) {
+        vweight[static_cast<size_t>(v)] = g.vertexWeight(v);
+        for (const auto &[u, w] : g.neighbors(v)) {
+            to.push_back(u);
+            weight.push_back(w);
+        }
+        offset[static_cast<size_t>(v) + 1] = static_cast<int>(to.size());
+    }
+}
+
+int64_t
+cutWeight(const FlatGraph &g, const std::vector<int> &side)
+{
+    panicIf(static_cast<int>(side.size()) != g.size(),
+            "side assignment size mismatch");
+    int64_t cut = 0;
+    for (int u = 0; u < g.size(); ++u)
+        for (int a = g.offset[static_cast<size_t>(u)];
+             a < g.offset[static_cast<size_t>(u) + 1]; ++a) {
+            int v = g.to[static_cast<size_t>(a)];
+            if (u < v && side[static_cast<size_t>(u)]
+                             != side[static_cast<size_t>(v)])
+                cut += g.weight[static_cast<size_t>(a)];
+        }
+    return cut;
+}
+
 } // namespace qsurf::partition

@@ -80,6 +80,32 @@ class Graph
  */
 int64_t cutWeight(const Graph &g, const std::vector<int> &side);
 
+/**
+ * A Graph in compressed sparse row form, for the bisection's inner
+ * loops: vertex v's arcs are to[i] / weight[i] for i in
+ * [offset[v], offset[v + 1]), in the order Graph::neighbors lists
+ * them.  Heavy-edge matching and the BFS initial partition read that
+ * order, so all code that fills a FlatGraph keeps Graph::addEdge's.
+ * The arrays keep their capacity when a FlatGraph is rebuilt, so a
+ * reused one allocates only when a graph outgrows all earlier ones.
+ */
+struct FlatGraph
+{
+    std::vector<int> offset;      ///< n + 1 arc offsets.
+    std::vector<int> to;          ///< Arc heads.
+    std::vector<int64_t> weight;  ///< Arc weights.
+    std::vector<int64_t> vweight; ///< Vertex weights.
+
+    /** @return vertex count. */
+    int size() const { return static_cast<int>(vweight.size()); }
+
+    /** Rebuild as a copy of @p g. */
+    void assign(const Graph &g);
+};
+
+/** @return the cut weight of @p side on @p g (see above). */
+int64_t cutWeight(const FlatGraph &g, const std::vector<int> &side);
+
 } // namespace qsurf::partition
 
 #endif // QSURF_PARTITION_GRAPH_H

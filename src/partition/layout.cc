@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "common/logging.h"
 
@@ -19,23 +20,35 @@ struct Rect
     int cells() const { return width() * height(); }
 };
 
-/** Recursive bisection placement state. */
+/**
+ * Recursive bisection placement state.  The graph is flattened once;
+ * every split's induced subgraph and every bisection reuse buffers
+ * held here, so after the first (largest) split they rarely
+ * allocate.
+ */
 class Placer
 {
   public:
     Placer(const Graph &g, GridLayout &layout, Rng &rng)
-        : g(g), layout(layout), rng(rng) {}
-
-    void
-    place(std::vector<int> vertices, const Rect &rect)
+        : layout(layout), rng(rng)
     {
-        panicIf(static_cast<int>(vertices.size()) > rect.cells(),
-                "placer overflow: ", vertices.size(), " vertices in ",
-                rect.cells(), " cells");
-        if (vertices.empty())
+        graph.assign(g);
+        auto n = static_cast<size_t>(g.size());
+        order.resize(n);
+        std::iota(order.begin(), order.end(), 0);
+        local.assign(n, -1);
+    }
+
+    /** Place the vertices order[lo, hi) on @p rect. */
+    void
+    place(int lo, int hi, const Rect &rect)
+    {
+        panicIf(hi - lo > rect.cells(), "placer overflow: ", hi - lo,
+                " vertices in ", rect.cells(), " cells");
+        if (lo == hi)
             return;
         if (rect.cells() == 1) {
-            int v = vertices.front();
+            int v = order[static_cast<size_t>(lo)];
             Coord c{rect.x0, rect.y0};
             layout.position[static_cast<size_t>(v)] = c;
             layout.vertex_at[static_cast<size_t>(
@@ -55,83 +68,136 @@ class Placer
             b.y0 = mid + 1;
         }
 
-        auto [va, vb] = split(vertices, a.cells(), b.cells());
-        place(std::move(va), a);
-        place(std::move(vb), b);
+        int mid = lo + split(lo, hi, a.cells(), b.cells());
+        place(lo, mid, a);
+        place(mid, hi, b);
     }
 
   private:
     /**
-     * Split @p vertices into groups fitting capacities @p cap_a and
-     * @p cap_b by bisecting the induced subgraph.
+     * Split order[lo, hi) into groups fitting capacities @p cap_a and
+     * @p cap_b by bisecting the induced subgraph, and reorder it into
+     * the first group then the second, each in its old order.
+     *
+     * @return the size of the first group.
      */
-    std::pair<std::vector<int>, std::vector<int>>
-    split(const std::vector<int> &vertices, int cap_a, int cap_b)
+    int
+    split(int lo, int hi, int cap_a, int cap_b)
     {
-        int n = static_cast<int>(vertices.size());
-
-        // Build the induced subgraph.
-        std::vector<int> local(static_cast<size_t>(g.size()), -1);
-        for (int i = 0; i < n; ++i)
-            local[static_cast<size_t>(
-                vertices[static_cast<size_t>(i)])] = i;
-        Graph sub(n);
-        for (int i = 0; i < n; ++i) {
-            int u = vertices[static_cast<size_t>(i)];
-            for (const auto &[v, w] : g.neighbors(u)) {
-                int j = local[static_cast<size_t>(v)];
-                if (j > i)
-                    sub.addEdge(i, j, w);
-            }
-        }
+        int n = hi - lo;
+        auto un = static_cast<size_t>(n);
+        int *vertices = &order[static_cast<size_t>(lo)];
+        buildSubgraph(vertices, n);
 
         BisectOptions opts;
         opts.target_fraction = std::clamp(
             static_cast<double>(cap_a) / (cap_a + cap_b), 0.05, 0.95);
-        Bisection cut = bisect(sub, rng, opts);
+        const std::vector<int> &cut = bisector.run(sub, rng, opts);
+        side.assign(cut.begin(), cut.end());
 
         // Enforce hard capacities: spill overflow to the other side
         // (the bisection balance envelope is soft).  Spill the vertex
         // with the smallest attachment to its own side — not an
         // arbitrary tail vertex — so the edges forced across the cut
         // are the cheapest ones available.
-        std::vector<int> side = cut.side;
+        const int *off = sub.offset.data();
+        const int *to = sub.to.data();
+        const int64_t *wt = sub.weight.data();
+        int *sd = side.data();
         auto spillWeakest = [&](int overfull) {
             int best = -1;
             int64_t best_att = 0;
             for (int i = 0; i < n; ++i) {
-                if (side[static_cast<size_t>(i)] != overfull)
+                if (sd[i] != overfull)
                     continue;
                 int64_t att = 0;
-                for (const auto &[j, w] : sub.neighbors(i))
-                    if (side[static_cast<size_t>(j)] == overfull)
-                        att += w;
+                for (int e = off[i]; e < off[i + 1]; ++e)
+                    if (sd[to[e]] == overfull)
+                        att += wt[e];
                 if (best < 0 || att < best_att) {
                     best = i;
                     best_att = att;
                 }
             }
-            side[static_cast<size_t>(best)] = 1 - overfull;
+            sd[best] = 1 - overfull;
         };
         int na = 0;
         for (int i = 0; i < n; ++i)
-            na += side[static_cast<size_t>(i)] == 0;
+            na += sd[i] == 0;
         for (; na > cap_a; --na)
             spillWeakest(0);
         for (; n - na > cap_b; ++na)
             spillWeakest(1);
 
-        std::vector<int> va, vb;
-        for (int i = 0; i < n; ++i) {
-            int v = vertices[static_cast<size_t>(i)];
-            (side[static_cast<size_t>(i)] == 0 ? va : vb).push_back(v);
-        }
-        return {std::move(va), std::move(vb)};
+        scratch.resize(un);
+        int ia = 0, ib = na;
+        for (int i = 0; i < n; ++i)
+            scratch[static_cast<size_t>(sd[i] == 0 ? ia++ : ib++)] =
+                vertices[i];
+        std::copy(scratch.begin(), scratch.end(), vertices);
+        return na;
     }
 
-    const Graph &g;
+    /**
+     * Build the subgraph induced by the ascending @p vertices into
+     * sub, with unit vertex weights and the neighbour order that
+     * Graph::addEdge(i, j) for each edge, i ascending, would give:
+     * lower-indexed partners ascending, then higher ones in the whole
+     * graph's order.
+     */
+    void
+    buildSubgraph(const int *vertices, int n)
+    {
+        auto un = static_cast<size_t>(n);
+        const int *off = graph.offset.data();
+        const int *to = graph.to.data();
+        for (int i = 0; i < n; ++i)
+            local[static_cast<size_t>(vertices[i])] = i;
+        sub.vweight.assign(un, 1);
+        sub.offset.assign(un + 1, 0);
+        for (int i = 0; i < n; ++i)
+            for (int a = off[vertices[i]]; a < off[vertices[i] + 1]; ++a) {
+                int j = local[static_cast<size_t>(to[a])];
+                if (j > i) {
+                    ++sub.offset[static_cast<size_t>(i) + 1];
+                    ++sub.offset[static_cast<size_t>(j) + 1];
+                }
+            }
+        std::partial_sum(sub.offset.begin(), sub.offset.end(),
+                         sub.offset.begin());
+        sub.to.resize(static_cast<size_t>(sub.offset[un]));
+        sub.weight.resize(sub.to.size());
+        scratch.assign(sub.offset.begin(), sub.offset.end() - 1);
+        int *fill = scratch.data();
+        int *sub_to = sub.to.data();
+        int64_t *sub_wt = sub.weight.data();
+        const int64_t *wt = graph.weight.data();
+        for (int i = 0; i < n; ++i)
+            for (int a = off[vertices[i]]; a < off[vertices[i] + 1]; ++a) {
+                int j = local[static_cast<size_t>(to[a])];
+                if (j <= i)
+                    continue;
+                sub_to[fill[i]] = j;
+                sub_wt[fill[i]++] = wt[a];
+                sub_to[fill[j]] = i;
+                sub_wt[fill[j]++] = wt[a];
+            }
+        for (int i = 0; i < n; ++i)
+            local[static_cast<size_t>(vertices[i])] = -1;
+    }
+
     GridLayout &layout;
     Rng &rng;
+    FlatGraph graph;
+    /** The vertices, grouped so each region's are contiguous. */
+    std::vector<int> order;
+    /** Each vertex's index in the current split (-1 outside it). */
+    std::vector<int> local;
+    FlatGraph sub;
+    Bisector bisector;
+    /** The split's sides, and scratch for building its subgraph
+     *  and reordering its vertices. */
+    std::vector<int> side, scratch;
 };
 
 GridLayout
@@ -194,10 +260,7 @@ layoutOnGrid(const Graph &g, int width, int height, uint64_t seed)
 {
     GridLayout out = emptyLayout(g.size(), width, height);
     Rng rng(seed);
-    std::vector<int> all(static_cast<size_t>(g.size()));
-    for (int v = 0; v < g.size(); ++v)
-        all[static_cast<size_t>(v)] = v;
-    Placer(g, out, rng).place(std::move(all),
+    Placer(g, out, rng).place(0, g.size(),
                               Rect{0, 0, width - 1, height - 1});
     return out;
 }

@@ -1,15 +1,21 @@
 /**
  * @file
  * Bisection tests: balance invariants, cut quality on graphs with a
- * known optimal cut, determinism, disconnected inputs, and a
- * parameterized sweep over sizes and target fractions.
+ * known optimal cut, determinism, disconnected inputs, a
+ * parameterized sweep over sizes and target fractions, and side-for-
+ * side agreement with the Graph-based reference bisection
+ * (reference_bisect.h) on seeded random graphs.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <sstream>
+
 #include "common/logging.h"
 #include "common/rng.h"
 #include "partition/bisect.h"
+#include "reference_bisect.h"
 
 namespace qsurf::partition {
 namespace {
@@ -162,6 +168,85 @@ TEST_P(BisectQuality, CutBridgeOnly)
 
 INSTANTIATE_TEST_SUITE_P(CliqueSizes, BisectQuality,
                          ::testing::Values(4, 8, 16, 32, 64));
+
+/** @return whether the refiner moves from gain buckets on @p g: the
+ *  rule of refine.h, (2D + 1) x distinct vertex weights <= 4n. */
+bool
+bucketsChosen(const Graph &g)
+{
+    int64_t d = 0;
+    std::vector<int64_t> weights;
+    for (int v = 0; v < g.size(); ++v) {
+        int64_t degree = 0;
+        for (const auto &[u, w] : g.neighbors(v))
+            degree += w;
+        d = std::max(d, degree);
+        weights.push_back(g.vertexWeight(v));
+    }
+    std::sort(weights.begin(), weights.end());
+    auto classes = std::unique(weights.begin(), weights.end())
+                 - weights.begin();
+    return classes * (2 * d + 1) <= 4 * static_cast<int64_t>(g.size());
+}
+
+TEST(Bisect, MatchesReferenceOnSeededGraphs)
+{
+    Rng rng(1708);
+    int bucket_graphs = 0, scan_graphs = 0;
+    for (int trial = 0; trial < 320; ++trial) {
+        // Mostly small graphs, as the grid layout's deep splits are,
+        // with a tail up to ~600 vertices.
+        int n = trial % 8 == 0 ? static_cast<int>(rng.below(601))
+                               : static_cast<int>(rng.below(80));
+        Graph g(n);
+        const int64_t max_vw[] = {1, 1, 2, 8};
+        int64_t vw = max_vw[rng.below(4)];
+        for (int v = 0; v < n; ++v)
+            if (vw > 1)
+                g.setVertexWeight(v, rng.range(1, vw));
+        // Edge weights from unit to 10^4, so both the bucket and the
+        // scan refinement run; some graphs keep isolated vertices or
+        // split into components.
+        const int64_t max_ew[] = {1, 3, 10, 100, 10000};
+        int64_t ew = max_ew[rng.below(5)];
+        int components = 1 + static_cast<int>(rng.below(3));
+        int64_t edges = n < 2 ? 0
+                              : static_cast<int64_t>(rng.below(
+                                    static_cast<uint64_t>(3 * n)));
+        for (int64_t e = 0; e < edges; ++e) {
+            auto a = static_cast<int>(rng.below(static_cast<uint64_t>(n)));
+            auto b = static_cast<int>(rng.below(static_cast<uint64_t>(n)));
+            if (a != b && a % components == b % components)
+                g.addEdge(a, b, rng.range(1, ew));
+        }
+
+        BisectOptions opts;
+        opts.target_fraction = 0.05 + 0.9 * rng.uniform();
+        opts.restarts = 1 + static_cast<int>(rng.below(4));
+        opts.refine_passes = 1 + static_cast<int>(rng.below(6));
+        opts.coarsen_threshold = rng.chance(0.5) ? 8 : 32;
+        (bucketsChosen(g) ? bucket_graphs : scan_graphs) += n >= 2;
+
+        uint64_t seed = rng.next();
+        Rng r1(seed), r2(seed);
+        Bisection got = bisect(g, r1, opts);
+        std::vector<int> want = reference::referenceBisect(g, r2, opts);
+        std::ostringstream what;
+        what << "trial " << trial << ": n " << n << ", max vertex weight "
+             << vw << ", max edge weight " << ew << ", " << components
+             << " components, target " << opts.target_fraction
+             << ", restarts " << opts.restarts << ", passes "
+             << opts.refine_passes << ", threshold "
+             << opts.coarsen_threshold;
+        ASSERT_EQ(got.side, want) << what.str();
+        EXPECT_EQ(got.cut, cutWeight(g, want)) << what.str();
+        EXPECT_EQ(r1.next(), r2.next()) << "random draws differ: "
+                                        << what.str();
+    }
+    // Both refinement paths ran at the finest level.
+    EXPECT_GE(bucket_graphs, 60);
+    EXPECT_GE(scan_graphs, 60);
+}
 
 } // namespace
 } // namespace qsurf::partition

@@ -2,17 +2,23 @@
  * @file
  * Grid-layout tests: placement validity (a permutation into cells),
  * the interaction-aware layout beating the naive one on clustered
- * graphs (the Section 6.2 claim), and grid shape selection.
+ * graphs (the Section 6.2 claim), cell-for-cell agreement with the
+ * Graph-based placer and across threads, and grid shape selection.
  */
 
 #include <gtest/gtest.h>
 
 #include <set>
 #include <sstream>
+#include <thread>
 
+#include "apps/apps.h"
+#include "circuit/interaction.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "partition/layout.h"
+#include "reference_bisect.h"
+#include "service/artifact.h"
 
 namespace qsurf::partition {
 namespace {
@@ -393,27 +399,35 @@ TEST(CorridorRefinement, MatchesUnprunedScanOnRandomGraphs)
     }
 }
 
+/** The compile-cold shape on @p n qubits: a chain of CNOT pairs in
+ *  two layers plus sparse long-range chords, relabelled by @p rng. */
+Graph
+chainPlusChordGraph(int n, Rng &rng)
+{
+    std::vector<int> label(static_cast<size_t>(n));
+    for (int q = 0; q < n; ++q)
+        label[static_cast<size_t>(q)] = q;
+    for (size_t i = label.size(); i > 1; --i)
+        std::swap(label[i - 1], label[rng.below(i)]);
+    Graph g(n);
+    auto cnot = [&](int a, int b) {
+        g.addEdge(label[static_cast<size_t>(a)],
+                  label[static_cast<size_t>(b % n)]);
+    };
+    for (int l = 0; l < 2; ++l)
+        for (int q = l; q + 1 < n; q += 2)
+            cnot(q, q + 1);
+    for (int q = static_cast<int>(rng.below(16)); q < n; q += 16)
+        cnot(q, q + n / 2);
+    return g;
+}
+
 TEST(CorridorRefinement, MatchesUnprunedScanOnChainPlusChordGraphs)
 {
-    // The compile-cold shape: a chain of CNOT pairs in two layers,
-    // sparse long-range chords, relabelled qubits, bisection seed.
+    // The compile-cold shape, bisection seed.
     Rng rng(7919);
     for (int n : {192, 320, 511}) {
-        std::vector<int> label(static_cast<size_t>(n));
-        for (int q = 0; q < n; ++q)
-            label[static_cast<size_t>(q)] = q;
-        for (size_t i = label.size(); i > 1; --i)
-            std::swap(label[i - 1], label[rng.below(i)]);
-        Graph g(n);
-        auto cnot = [&](int a, int b) {
-            g.addEdge(label[static_cast<size_t>(a)],
-                      label[static_cast<size_t>(b % n)]);
-        };
-        for (int l = 0; l < 2; ++l)
-            for (int q = l; q + 1 < n; q += 2)
-                cnot(q, q + 1);
-        for (int q = static_cast<int>(rng.below(16)); q < n; q += 16)
-            cnot(q, q + n / 2);
+        Graph g = chainPlusChordGraph(n, rng);
         auto [w, h] = gridShape(n);
         for (int lanes : {0, 3}) {
             GridLayout seed = layoutOnGrid(g, w, h, rng.next());
@@ -422,6 +436,219 @@ TEST(CorridorRefinement, MatchesUnprunedScanOnChainPlusChordGraphs)
                                       + std::to_string(lanes));
         }
     }
+}
+
+/**
+ * The grid placer as it ran on Graph before the flat rewrite: each
+ * split's induced subgraph built with Graph::addEdge and bisected by
+ * the reference bisection, and vertex lists copied per split.
+ * layoutOnGrid must reproduce it cell for cell.
+ */
+class GraphPlacer
+{
+  public:
+    GraphPlacer(const Graph &g, GridLayout &layout, Rng &rng)
+        : g(g), layout(layout), rng(rng) {}
+
+    void
+    place(std::vector<int> vertices, int x0, int y0, int x1, int y1)
+    {
+        int width = x1 - x0 + 1, height = y1 - y0 + 1;
+        if (vertices.empty())
+            return;
+        if (width * height == 1) {
+            int v = vertices.front();
+            layout.position[static_cast<size_t>(v)] = Coord{x0, y0};
+            layout.vertex_at[static_cast<size_t>(
+                linearIndex(Coord{x0, y0}, layout.width))] = v;
+            return;
+        }
+        int ax1 = x1, ay1 = y1, bx0 = x0, by0 = y0;
+        if (width >= height)
+            bx0 = (ax1 = x0 + (width - 1) / 2) + 1;
+        else
+            by0 = (ay1 = y0 + (height - 1) / 2) + 1;
+        int cap_a = (ax1 - x0 + 1) * (ay1 - y0 + 1);
+        int cap_b = (x1 - bx0 + 1) * (y1 - by0 + 1);
+        auto [va, vb] = split(vertices, cap_a, cap_b);
+        place(std::move(va), x0, y0, ax1, ay1);
+        place(std::move(vb), bx0, by0, x1, y1);
+    }
+
+  private:
+    std::pair<std::vector<int>, std::vector<int>>
+    split(const std::vector<int> &vertices, int cap_a, int cap_b)
+    {
+        int n = static_cast<int>(vertices.size());
+        std::vector<int> local(static_cast<size_t>(g.size()), -1);
+        for (int i = 0; i < n; ++i)
+            local[static_cast<size_t>(vertices[static_cast<size_t>(i)])] =
+                i;
+        Graph sub(n);
+        for (int i = 0; i < n; ++i)
+            for (const auto &[v, w] :
+                 g.neighbors(vertices[static_cast<size_t>(i)])) {
+                int j = local[static_cast<size_t>(v)];
+                if (j > i)
+                    sub.addEdge(i, j, w);
+            }
+        BisectOptions opts;
+        opts.target_fraction = std::clamp(
+            static_cast<double>(cap_a) / (cap_a + cap_b), 0.05, 0.95);
+        std::vector<int> side = reference::referenceBisect(sub, rng, opts);
+        auto spillWeakest = [&](int overfull) {
+            int best = -1;
+            int64_t best_att = 0;
+            for (int i = 0; i < n; ++i) {
+                if (side[static_cast<size_t>(i)] != overfull)
+                    continue;
+                int64_t att = 0;
+                for (const auto &[j, w] : sub.neighbors(i))
+                    if (side[static_cast<size_t>(j)] == overfull)
+                        att += w;
+                if (best < 0 || att < best_att) {
+                    best = i;
+                    best_att = att;
+                }
+            }
+            side[static_cast<size_t>(best)] = 1 - overfull;
+        };
+        int na = 0;
+        for (int i = 0; i < n; ++i)
+            na += side[static_cast<size_t>(i)] == 0;
+        for (; na > cap_a; --na)
+            spillWeakest(0);
+        for (; n - na > cap_b; ++na)
+            spillWeakest(1);
+        std::vector<int> va, vb;
+        for (int i = 0; i < n; ++i)
+            (side[static_cast<size_t>(i)] == 0 ? va : vb)
+                .push_back(vertices[static_cast<size_t>(i)]);
+        return {std::move(va), std::move(vb)};
+    }
+
+    const Graph &g;
+    GridLayout &layout;
+    Rng &rng;
+};
+
+GridLayout
+graphPlacerLayout(const Graph &g, int width, int height, uint64_t seed)
+{
+    GridLayout out;
+    out.width = width;
+    out.height = height;
+    out.position.assign(static_cast<size_t>(g.size()), Coord{});
+    out.vertex_at.assign(static_cast<size_t>(width * height), -1);
+    std::vector<int> all(static_cast<size_t>(g.size()));
+    for (int v = 0; v < g.size(); ++v)
+        all[static_cast<size_t>(v)] = v;
+    Rng rng(seed);
+    GraphPlacer(g, out, rng).place(std::move(all), 0, 0, width - 1,
+                                   height - 1);
+    return out;
+}
+
+/** Lay @p g out on @p w x @p h both ways and require identical
+ *  placements. */
+void
+expectMatchesGraphPlacer(const Graph &g, int w, int h, uint64_t seed,
+                         const std::string &what)
+{
+    GridLayout got = layoutOnGrid(g, w, h, seed);
+    GridLayout want = graphPlacerLayout(g, w, h, seed);
+    EXPECT_EQ(got.position, want.position) << what;
+    EXPECT_EQ(got.vertex_at, want.vertex_at) << what;
+}
+
+TEST(BisectionLayout, MatchesGraphPlacerOnChainPlusChordGraphs)
+{
+    Rng rng(4242);
+    for (int n : {192, 320, 511}) {
+        Graph g = chainPlusChordGraph(n, rng);
+        auto [w, h] = gridShape(n);
+        for (int extra : {0, 1}) {
+            uint64_t seed = rng.next();
+            expectMatchesGraphPlacer(g, w + extra, h, seed,
+                                     std::to_string(n) + " qubits on "
+                                         + std::to_string(w + extra)
+                                         + "x" + std::to_string(h));
+        }
+    }
+}
+
+/** The interaction graph of app @p kind, decomposed as sweeps
+ *  decompose it. */
+Graph
+appGraph(apps::AppKind kind, const apps::GenOptions &gen)
+{
+    service::PrepareCache cache;
+    auto program = service::cachedAppProgram(cache, kind, gen);
+    circuit::InteractionGraph ig = circuit::interactionGraph(program->circ);
+    Graph g(ig.num_qubits);
+    for (const auto &[pair, w] : ig.edges)
+        g.addEdge(pair.first, pair.second, static_cast<int64_t>(w));
+    return g;
+}
+
+TEST(BisectionLayout, MatchesGraphPlacerOnHeavyEdgeApps)
+{
+    // GSE(40) and SQ(10,96), the sweep apps whose few qubits interact
+    // thousands of times: the gain range 2D + 1 exceeds 4n, so FM
+    // refinement takes its scan path on the whole graph.
+    for (auto [kind, gen, name] :
+         {std::tuple{apps::AppKind::GSE, apps::GenOptions{40, 0}, "GSE(40)"},
+          std::tuple{apps::AppKind::SQ, apps::GenOptions{10, 96},
+                     "SQ(10,96)"}}) {
+        Graph g = appGraph(kind, gen);
+        int64_t d = 0;
+        for (int v = 0; v < g.size(); ++v) {
+            int64_t degree = 0;
+            for (const auto &[u, w] : g.neighbors(v))
+                degree += w;
+            d = std::max(d, degree);
+        }
+        EXPECT_GT(2 * d + 1, 4 * g.size()) << name;
+        auto [w, h] = gridShape(g.size());
+        for (uint64_t seed : {1, 7919, 1234})
+            expectMatchesGraphPlacer(g, w, h, seed,
+                                     std::string(name) + ", seed "
+                                         + std::to_string(seed));
+    }
+}
+
+TEST(BisectionLayout, ThreadsMatchSerial)
+{
+    // Sweep threads build machines side by side: a layout must not
+    // depend on what another thread is laying out.
+    Rng rng(31);
+    std::vector<Graph> graphs;
+    for (int n : {40, 97, 192, 256, 320, 400, 511, 64})
+        graphs.push_back(chainPlusChordGraph(n, rng));
+    auto layoutAll = [&](size_t first, std::vector<GridLayout> &out) {
+        for (size_t k = 0; k < graphs.size(); ++k) {
+            const Graph &g = graphs[(first + k) % graphs.size()];
+            auto [w, h] = gridShape(g.size());
+            out[(first + k) % graphs.size()] =
+                layoutOnGrid(g, w, h, 17 + (first + k) % graphs.size());
+        }
+    };
+    std::vector<GridLayout> serial(graphs.size());
+    layoutAll(0, serial);
+    std::vector<std::vector<GridLayout>> parallel(
+        4, std::vector<GridLayout>(graphs.size()));
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < parallel.size(); ++t)
+        threads.emplace_back(layoutAll, 2 * t, std::ref(parallel[t]));
+    for (std::thread &t : threads)
+        t.join();
+    for (size_t t = 0; t < parallel.size(); ++t)
+        for (size_t k = 0; k < graphs.size(); ++k) {
+            EXPECT_EQ(parallel[t][k].position, serial[k].position)
+                << "thread " << t << ", graph " << k;
+            EXPECT_EQ(parallel[t][k].vertex_at, serial[k].vertex_at)
+                << "thread " << t << ", graph " << k;
+        }
 }
 
 TEST(CorridorObjective, NamesAndCheckedCast)

@@ -322,16 +322,29 @@ TEST(Mesh, SuspensionFreesWithoutStamping)
     Path terminal;
     terminal.nodes.push_back(Coord{1, 1});
     const int sentinel = 1 << 28;
+    const int node = m.nodeResource(Coord{1, 1});
     m.claim(terminal, sentinel);
 
-    m.suspend(terminal, sentinel);
+    m.suspendNode(node, 7);
+    EXPECT_EQ(m.nodeOwner(Coord{1, 1}), sentinel)
+        << "only the holder's own hold is suspended";
+    m.suspendNode(node, sentinel);
     EXPECT_EQ(m.nodeOwner(Coord{1, 1}), Mesh::no_owner);
     EXPECT_EQ(m.releaseCount(), 0u);
     EXPECT_EQ(m.releaseStamp(m.nodeResource(Coord{1, 1})), 0u);
 
-    m.claim(terminal, sentinel);
+    // A claim kept the router: restoring the hold leaves it be.
+    m.claim(terminal, 7);
+    m.holdNode(node, sentinel);
+    EXPECT_EQ(m.nodeOwner(Coord{1, 1}), 7);
+    m.release(terminal, 7);
+    EXPECT_EQ(m.releaseStamp(node), 1u);
+    m.holdNode(node, sentinel);
+    EXPECT_EQ(m.nodeOwner(Coord{1, 1}), sentinel);
+    EXPECT_EQ(m.releaseCount(), 1u) << "a restore does not stamp";
+
     m.release(terminal, sentinel);
-    EXPECT_EQ(m.releaseStamp(m.nodeResource(Coord{1, 1})), 1u);
+    EXPECT_EQ(m.releaseStamp(m.nodeResource(Coord{1, 1})), 2u);
 }
 
 TEST(Mesh, BulkTickMatchesRepeatedTicks)
