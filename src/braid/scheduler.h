@@ -15,6 +15,12 @@
  * livelock-free (Section 6.1): a braid that cannot be placed simply
  * retries, adapts its route (XY -> YX -> breadth-first detour) and is
  * eventually dropped/re-injected at the back of the queue.
+ *
+ * That loop is engine::Loop, shared with the hybrid scheduler; the
+ * braid scheme is only what is braid-specific — the policy keys, the
+ * two segments' claims through engine::RouteClaimer (the closing one
+ * re-readied when the opening one retires), and Policy 0's strict
+ * program-order pass, which the loop runs on the scheme's request.
  */
 
 #ifndef QSURF_BRAID_SCHEDULER_H
@@ -27,7 +33,7 @@
 #include "circuit/circuit.h"
 #include "circuit/dag.h"
 #include "circuit/interaction.h"
-#include "obs/trace.h"
+#include "engine/loop.h"
 
 namespace qsurf::braid {
 
@@ -49,122 +55,23 @@ inline constexpr int num_policies = 7;
 /** @return "Policy N". */
 const char *policyName(Policy policy);
 
-/** Simulation knobs. */
-struct BraidOptions
+/**
+ * Simulation knobs: exactly the loop's (engine::LoopOptions) — the
+ * code distance, the escalation timeouts, factory supply, the cycle
+ * bound, fast-forward, the layout seed, fabric damage and the trace
+ * hook.
+ */
+using BraidOptions = engine::LoopOptions;
+
+/** Results of one braid-scheduling run (one Figure 6 bar: ratio() is
+ *  its blue bar and mesh_utilization its red curve). */
+struct BraidResult : engine::LoopResult
 {
-    /** Code distance d: braid stabilization time in cycles. */
-    int code_distance = 5;
-
-    /** Data tiles per magic-state factory tile. */
-    int tiles_per_factory = 8;
-
-    /** Cycles an op waits before trying the YX route. */
-    int adapt_timeout = 4;
-
-    /** Cycles before falling back to the adaptive BFS detour. */
-    int bfs_timeout = 8;
-
-    /** Cycles before the op is dropped and re-injected. */
-    int drop_timeout = 16;
-
-    /** Cap on failed placement attempts per cycle. */
-    int max_attempts_per_cycle = 64;
-
-    /**
-     * Cycles a factory needs to distill one magic state; 0 means
-     * production is never the bottleneck (Section 4.3's factories
-     * sized off the critical path).  Non-zero values expose the
-     * space-vs-time factory tradeoff as an ablation.
-     */
-    int magic_production_cycles = 0;
-
-    /** Distilled states a factory can buffer. */
-    int magic_buffer_capacity = 2;
-
-    /** Safety bound on simulated cycles. */
-    uint64_t max_cycles = 100'000'000;
-
-    /**
-     * Event-driven time skipping: when a placement pass claims
-     * nothing, jump straight to the next retirement / escalation
-     * threshold / factory replenishment instead of ticking one cycle
-     * at a time, and replay provably repeated failed attempts from
-     * their memos (engine::FailMemos).  Results are bit-identical
-     * either way; disabling reproduces the original loop for A/B
-     * perf measurement.
-     */
-    bool fast_forward = true;
-
-    /** Layout RNG seed. */
-    uint64_t seed = 1;
-
-    /** Fabric damage recipe (see fabric/defect.h).  The default is
-     *  the perfect mesh every run assumed before defect awareness. */
-    fabric::DefectParams defects;
-
-    /** Structured-event trace hook; null disables tracing (see
-     *  obs/trace.h).  Never changes results. */
-    obs::TraceRecorder *trace = nullptr;
-};
-
-/** Results of one braid-scheduling run (one Figure 6 bar). */
-struct BraidResult
-{
-    /** Total cycles to complete the program. */
-    uint64_t schedule_cycles = 0;
-
-    /** Dependence-limited lower bound (unbounded resources). */
-    uint64_t critical_path_cycles = 0;
-
-    /** Average fraction of mesh links busy (Figure 6 red curve). */
-    double mesh_utilization = 0;
-
     /** Braid segments successfully placed. */
     uint64_t braids_placed = 0;
 
-    /** Failed placement attempts (route conflicts). */
-    uint64_t placement_failures = 0;
-
     /** Placements that needed the YX fallback. */
     uint64_t yx_fallbacks = 0;
-
-    /** Placements that needed the BFS detour. */
-    uint64_t bfs_detours = 0;
-
-    /** Drop/re-inject events. */
-    uint64_t drops = 0;
-
-    /** T placements refused because no factory had a state ready. */
-    uint64_t magic_starvations = 0;
-
-    /** Interaction-weighted layout cost (Section 6.2 objective). */
-    double layout_cost = 0;
-
-    /** Cycles elided by the event-driven fast-forward. */
-    uint64_t ff_skipped_cycles = 0;
-
-    /** Fraction of fabric tiles dead (0 on a perfect fabric). */
-    double defect_dead_fraction = 0;
-
-    /** Mean per-tile error-rate multiplier over live tiles (1 on a
-     *  perfect fabric). */
-    double defect_avg_multiplier = 1;
-
-    /** Permanently defective mesh routers. */
-    uint64_t defective_nodes = 0;
-
-    /** Permanently defective mesh links. */
-    uint64_t defective_links = 0;
-
-    /** @return schedule length / critical path (Figure 6 blue bar). */
-    double
-    ratio() const
-    {
-        return critical_path_cycles
-            ? static_cast<double>(schedule_cycles)
-                / static_cast<double>(critical_path_cycles)
-            : 0.0;
-    }
 };
 
 /**

@@ -7,21 +7,6 @@
 
 namespace qsurf::braid {
 
-namespace {
-
-/** Convert the interaction graph into a partitioner graph. */
-partition::Graph
-toPartitionGraph(const circuit::InteractionGraph &ig)
-{
-    partition::Graph g(ig.num_qubits);
-    for (const auto &[pair, w] : ig.edges)
-        g.addEdge(pair.first, pair.second,
-                  static_cast<int64_t>(w));
-    return g;
-}
-
-} // namespace
-
 Coord
 TiledArch::tileCenter(const Coord &tile)
 {
@@ -93,18 +78,11 @@ TiledArch::TiledArch(const circuit::InteractionGraph &graph,
     }
 
     // Data-qubit placement on the live cells of the data region.
-    partition::CellMask mask;
-    if (!defect_map.empty()) {
-        mask.assign(static_cast<size_t>(dw * dh), 0);
-        for (int y = 0; y < dh; ++y)
-            for (int x = 0; x < dw; ++x)
-                if (defect_map.deadTile(x, y))
-                    mask[static_cast<size_t>(y * dw + x)] = 1;
-    }
+    partition::CellMask mask = defect_map.deadMask(dw, dh);
     qubit_tile.resize(static_cast<size_t>(nq));
     partition::GridLayout layout;
     if (opts.optimized_layout) {
-        partition::Graph pg = toPartitionGraph(graph);
+        partition::Graph pg = circuit::toPartitionGraph(graph);
         layout = partition::layoutOnGrid(pg, dw, dh, opts.seed, mask);
     } else {
         layout = partition::naiveLayout(nq, dw, dh, mask);

@@ -41,4 +41,13 @@ interactionGraph(const Circuit &circ)
     return g;
 }
 
+partition::Graph
+toPartitionGraph(const InteractionGraph &ig)
+{
+    partition::Graph g(ig.num_qubits);
+    for (const auto &[pair, w] : ig.edges)
+        g.addEdge(pair.first, pair.second, static_cast<int64_t>(w));
+    return g;
+}
+
 } // namespace qsurf::circuit

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "partition/graph.h"
 
 namespace qsurf::circuit {
 
@@ -39,6 +40,13 @@ struct InteractionGraph
  * to all three operand pairs (they decompose into CNOTs among them).
  */
 InteractionGraph interactionGraph(const Circuit &circ);
+
+/**
+ * @return @p ig as a partitioner graph: one vertex per qubit and one
+ * edge per interacting pair, weighted by its gate count — the input
+ * of the interaction-aware layout (Section 6.2).
+ */
+partition::Graph toPartitionGraph(const InteractionGraph &ig);
 
 } // namespace qsurf::circuit
 

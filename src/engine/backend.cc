@@ -5,6 +5,7 @@
 
 #include "common/json.h"
 #include "common/logging.h"
+#include "engine/loop.h"
 
 namespace qsurf::engine {
 
@@ -63,6 +64,24 @@ WorkItem::resolveDistance() const
         return config.code_distance;
     return qec::CodeModel::chooseDistance(config.tech.p_physical,
                                           logicalOps());
+}
+
+LoopOptions
+loopOptions(const RunConfig &c, int code_distance)
+{
+    LoopOptions opts;
+    opts.code_distance = code_distance;
+    opts.adapt_timeout = c.adapt_timeout;
+    opts.bfs_timeout = c.bfs_timeout;
+    opts.drop_timeout = c.drop_timeout;
+    opts.magic_production_cycles = c.magic_production_cycles;
+    opts.magic_buffer_capacity = c.magic_buffer_capacity;
+    opts.max_cycles = c.max_cycles;
+    opts.fast_forward = c.fast_forward;
+    opts.seed = c.seed;
+    opts.defects = c.defectParams();
+    opts.trace = c.trace;
+    return opts;
 }
 
 void

@@ -239,6 +239,17 @@ struct RunConfig
     obs::TraceRecorder *trace = nullptr;
 };
 
+struct LoopOptions;
+
+/**
+ * @return the scheduling-loop options (engine/loop.h) of @p c at code
+ * distance @p code_distance: the escalation timeouts, factory
+ * supply, cycle bound, fast-forward, seed, fabric damage and trace
+ * hook.  The braid and patch-machine backends both build their
+ * scheduler options on it.
+ */
+LoopOptions loopOptions(const RunConfig &c, int code_distance);
+
 /**
  * Write @p c as one JSON object (the caller emits any key): every
  * field a result depends on, which is every field but `trace`.  The

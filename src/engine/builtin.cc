@@ -2,21 +2,24 @@
  * @file
  * The built-in backends behind the engine interface: the two
  * run-to-completion simulators (braided double-defect, Multi-SIMD
- * planar) and the two analytic design-space models the large-scale
- * figure sweeps run on.
+ * planar) and the three analytic design-space models the large-scale
+ * figure sweeps run on; the two patch-machine simulators register
+ * from hybrid/backend.cc.
  */
 
 #include <cmath>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "braid/scheduler.h"
 #include "common/logging.h"
 #include "engine/registry.h"
+#include "estimate/lattice_surgery.h"
 #include "estimate/model.h"
 #include "hybrid/backend.h"
 #include "planar/planar.h"
-#include "surgery/backend.h"
 
 namespace qsurf::engine {
 
@@ -90,7 +93,7 @@ class DoubleDefectBackend : public Backend
         os << "tiled/fp=" << std::hex << item.resolveFingerprint()
            << "/seed=" << item.config.seed << std::dec
            << "/opt=" << (item.config.policy >= 2 ? 1 : 0)
-           << "/tpf=" << braid::BraidOptions{}.tiles_per_factory
+           << "/tpf=" << braid::TiledArchOptions{}.tiles_per_factory
            << defectKeySuffix(item.config.defectParams());
         return os.str();
     }
@@ -113,20 +116,7 @@ class DoubleDefectBackend : public Backend
         const PreparedArtifact *artifact) const override
     {
         int d = item.resolveDistance();
-        braid::BraidOptions opts;
-        opts.code_distance = d;
-        opts.seed = item.config.seed;
-        opts.fast_forward = item.config.fast_forward;
-        opts.adapt_timeout = item.config.adapt_timeout;
-        opts.bfs_timeout = item.config.bfs_timeout;
-        opts.drop_timeout = item.config.drop_timeout;
-        opts.max_cycles = item.config.max_cycles;
-        opts.magic_production_cycles =
-            item.config.magic_production_cycles;
-        opts.magic_buffer_capacity =
-            item.config.magic_buffer_capacity;
-        opts.defects = item.config.defectParams();
-        opts.trace = item.config.trace;
+        braid::BraidOptions opts = loopOptions(item.config, d);
         auto policy =
             static_cast<braid::Policy>(item.config.policy);
         braid::BraidResult r;
@@ -273,23 +263,26 @@ class PlanarBackend : public Backend
 };
 
 /**
- * Analytic design-space model (Section 7): runs the Figures 7-9
- * sweeps at computation sizes far beyond direct simulation.
+ * An analytic design-space model: Section 7's planar and
+ * double-defect models, which run the Figures 7-9 sweeps at
+ * computation sizes far beyond direct simulation, and Section 8.2's
+ * lattice-surgery model.  The models differ only in the estimator.
  */
 class ModelBackend : public Backend
 {
   public:
-    explicit ModelBackend(qec::CodeKind kind) : kind(kind) {}
+    using Estimator = estimate::ResourceEstimate (*)(
+        const estimate::ResourceModel &model, double kq);
 
-    std::string
-    name() const override
+    ModelBackend(std::string name, qec::CodeKind code,
+                 Estimator estimator)
+        : name_(std::move(name)), code_(code), estimator_(estimator)
     {
-        return kind == qec::CodeKind::Planar
-            ? backends::planar_model
-            : backends::double_defect_model;
     }
 
-    qec::CodeKind code() const override { return kind; }
+    std::string name() const override { return name_; }
+
+    qec::CodeKind code() const override { return code_; }
 
     bool needsCircuit() const override { return false; }
 
@@ -307,11 +300,11 @@ class ModelBackend : public Backend
     {
         estimate::ResourceModel model(item.app, item.config.tech);
         double kq = item.logicalOps();
-        estimate::ResourceEstimate e = model.estimate(kind, kq);
+        estimate::ResourceEstimate e = estimator_(model, kq);
 
         Metrics m;
-        m.backend = name();
-        m.code = kind;
+        m.backend = name_;
+        m.code = code_;
         m.code_distance = e.code_distance;
         m.schedule_cycles =
             static_cast<uint64_t>(std::llround(e.total_cycles));
@@ -330,7 +323,9 @@ class ModelBackend : public Backend
     }
 
   private:
-    qec::CodeKind kind;
+    std::string name_;
+    qec::CodeKind code_;
+    Estimator estimator_;
 };
 
 } // namespace
@@ -340,11 +335,21 @@ registerBuiltinBackends(Registry &registry)
 {
     registry.add(std::make_unique<PlanarBackend>());
     registry.add(std::make_unique<DoubleDefectBackend>());
-    registry.add(
-        std::make_unique<ModelBackend>(qec::CodeKind::Planar));
-    registry.add(
-        std::make_unique<ModelBackend>(qec::CodeKind::DoubleDefect));
-    surgery::registerSurgeryModel(registry);
+    registry.add(std::make_unique<ModelBackend>(
+        backends::planar_model, qec::CodeKind::Planar,
+        [](const estimate::ResourceModel &model, double kq) {
+            return model.estimate(qec::CodeKind::Planar, kq);
+        }));
+    registry.add(std::make_unique<ModelBackend>(
+        backends::double_defect_model, qec::CodeKind::DoubleDefect,
+        [](const estimate::ResourceModel &model, double kq) {
+            return model.estimate(qec::CodeKind::DoubleDefect, kq);
+        }));
+    registry.add(std::make_unique<ModelBackend>(
+        backends::surgery_model, qec::CodeKind::Planar,
+        [](const estimate::ResourceModel &model, double kq) {
+            return estimate::estimateSurgery(model, kq);
+        }));
     hybrid::registerHybridBackends(registry);
 }
 

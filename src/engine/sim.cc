@@ -56,13 +56,16 @@ RouteClaimer::tryClaim(const Coord &src, const Coord &dst, int owner,
         return std::nullopt;
     network::Path first = yx_first ? network::yxRoute(src, dst)
                                    : network::xyRoute(src, dst);
-    if (claimRoute(mesh_, first, owner, blockers))
+    if (claimRoute(mesh_, first, owner, blockers)) {
+        last_stage_ = 0;
         return first;
+    }
     if (wait >= opts_.adapt_timeout) {
         network::Path second = yx_first ? network::xyRoute(src, dst)
                                         : network::yxRoute(src, dst);
         if (claimRoute(mesh_, second, owner, blockers)) {
             ++transpose_fallbacks_;
+            last_stage_ = 1;
             return second;
         }
     }
@@ -71,6 +74,7 @@ RouteClaimer::tryClaim(const Coord &src, const Coord &dst, int owner,
                                              scratch_, blockers);
         if (detour) {
             ++bfs_detours_;
+            last_stage_ = 2;
             mesh_.claim(*detour, owner);
             return detour;
         }
@@ -140,11 +144,14 @@ ChainClaimer::tryClaim(const network::Path &primary,
     setEndpointReserved(src, false);
     setEndpointReserved(dst, false);
 
-    if (claimRoute(mesh_, primary, owner, blockers))
+    if (claimRoute(mesh_, primary, owner, blockers)) {
+        last_stage_ = 0;
         return primary;
+    }
     if (wait >= opts_.adapt_timeout
         && claimRoute(mesh_, fallback, owner, blockers)) {
         ++transpose_fallbacks_;
+        last_stage_ = 1;
         return fallback;
     }
     if (wait >= opts_.bfs_timeout) {
@@ -152,6 +159,7 @@ ChainClaimer::tryClaim(const network::Path &primary,
                                              scratch_, blockers);
         if (detour) {
             ++bfs_detours_;
+            last_stage_ = 2;
             mesh_.claim(*detour, owner);
             return detour;
         }

@@ -2,16 +2,17 @@
  * @file
  * Shared simulation primitives of the backend engines.
  *
- * Both run-to-completion backends are discrete simulators built from
+ * The run-to-completion backends are discrete simulators built from
  * the same small set of mechanisms: a deterministic keyed ready
  * queue, an expiry queue retiring in-flight work, the route-claim
  * escalation of Section 6.1 on the circuit-switched mesh (with
  * memos of the attempts that provably fail again), a pool of
  * identical transport channels, and sweep-line accounting of live
- * resources.  Hoisting them here keeps the braid and planar
- * schedulers to their policy decisions and guarantees every backend
- * shares the same deterministic tie-breaking, which is what makes
- * parallel sweeps bit-identical at any thread count.
+ * resources.  Hoisting them here keeps the schedulers to their
+ * policy decisions and guarantees every backend shares the same
+ * deterministic tie-breaking, which is what makes parallel sweeps
+ * bit-identical at any thread count.  The one cycle loop the braid
+ * and hybrid schedulers run over them is engine/loop.h.
  */
 
 #ifndef QSURF_ENGINE_SIM_H
@@ -176,24 +177,6 @@ enum class FailKind : uint8_t
 };
 
 /**
- * Record the stall event of op @p op's failed attempt at @p cycle,
- * routed with @p wait — on the passes obs::stallEventGate() admits.
- */
-inline void
-traceStall(obs::TraceRecorder *trace, uint64_t cycle, int op, int wait,
-           FailKind kind, const RouteClaimOptions &route)
-{
-    if (!trace
-        || !obs::stallEventGate(wait, route.adapt_timeout,
-                                route.bfs_timeout))
-        return;
-    if (kind == FailKind::Starved)
-        trace->record({cycle, obs::EventKind::FactoryStarve, op});
-    else
-        trace->record({cycle, obs::EventKind::RouteDeny, op, wait});
-}
-
-/**
  * The time-skipping core of the event-driven schedulers.
  *
  * A cycle-stepped simulator spends most cycles discovering that
@@ -303,53 +286,6 @@ class FastForward
 };
 
 /**
- * The shared plan-and-account step both schedulers run after a
- * placement pass that claimed nothing and dropped nothing: gather
- * the interesting-event candidates (next retirement, each stalled
- * op's thresholds, any backend-specific events via @p extra_events),
- * and when a jump is possible, bulk-account everything the elided
- * iterations would have done uniformly — ticks, placement-failure
- * counters, wait counters.  Backend-specific bulk counters (e.g.
- * braid magic starvations) are the caller's to apply, scaled by the
- * returned skip.
- *
- * @param attempted    (op id, wait value the pass routed with).
- * @param wait_of      callable int&(int id): the op's wait counter.
- * @param extra_events callable(FastForward&) registering additional
- *                     event candidates before the jump is planned.
- * @return the number of iterations elided (0 = nothing to skip);
- *         the caller advances its cycle counter by this.
- */
-template <typename WaitOf, typename ExtraEvents>
-uint64_t
-fastForwardAfterStall(FastForward &ff, const ExpiryQueue &expiry,
-                      network::Mesh &mesh, uint64_t now,
-                      uint64_t horizon,
-                      const std::vector<std::pair<int, int>> &attempted,
-                      WaitOf &&wait_of, const RouteClaimOptions &route,
-                      int drop_timeout, uint64_t &placement_failures,
-                      ExtraEvents &&extra_events)
-{
-    ff.begin(now);
-    if (auto deadline = expiry.nextDeadline())
-        ff.eventAt(*deadline);
-    extra_events(ff);
-    for (const auto &[id, wait_used] : attempted)
-        ff.stalledOp(wait_used, wait_of(id), route, drop_timeout);
-
-    uint64_t skip = ff.skippable(horizon);
-    if (skip == 0)
-        return 0;
-    ff.recordSkip(skip);
-    mesh.tick(skip);
-    placement_failures +=
-        static_cast<uint64_t>(attempted.size()) * skip;
-    for (const auto &[id, wait_used] : attempted)
-        wait_of(id) += static_cast<int>(skip);
-    return skip;
-}
-
-/**
  * The route-claim escalation of Section 6.1, shared by the
  * circuit-switched backends: try the preferred dimension-ordered
  * route, fall back to the transposed one once the requester has
@@ -391,11 +327,22 @@ class RouteClaimer
     tryClaim(const Coord &src, const Coord &dst, int owner, int wait,
              bool yx_first, network::Blockers *blockers = nullptr);
 
+    /** Release @p route, claimed for @p owner. */
+    void
+    release(const network::Path &route, int owner)
+    {
+        mesh_.release(route, owner);
+    }
+
     /** Successful placements that needed the transposed route. */
     uint64_t transposeFallbacks() const { return transpose_fallbacks_; }
 
     /** Successful placements that needed the BFS detour. */
     uint64_t bfsDetours() const { return bfs_detours_; }
+
+    /** @return the stage the last successful claim needed: 0 the
+     *  preferred route, 1 the transposed one, 2 the BFS detour. */
+    int lastStage() const { return last_stage_; }
 
   private:
     network::Mesh &mesh_;
@@ -403,6 +350,7 @@ class RouteClaimer
     network::BfsScratch scratch_;
     uint64_t transpose_fallbacks_ = 0;
     uint64_t bfs_detours_ = 0;
+    int last_stage_ = 0;
 };
 
 /**
@@ -476,6 +424,10 @@ class ChainClaimer
     /** Successful placements that needed the BFS detour. */
     uint64_t bfsDetours() const { return bfs_detours_; }
 
+    /** @return the stage the last successful claim needed: 0 the
+     *  primary corridor, 1 the fallback one, 2 the BFS detour. */
+    int lastStage() const { return last_stage_; }
+
   private:
     /** Restore (true) or suspend (false) an endpoint reservation. */
     void setEndpointReserved(const Coord &c, bool reserved);
@@ -493,6 +445,7 @@ class ChainClaimer
     int num_reserved_ = 0;
     uint64_t transpose_fallbacks_ = 0;
     uint64_t bfs_detours_ = 0;
+    int last_stage_ = 0;
 };
 
 /**
@@ -608,37 +561,6 @@ class MagicFactoryPool
     uint64_t version_ = 0;
     obs::TraceRecorder *trace_ = nullptr;
 };
-
-/**
- * T-gate factory candidate selection shared by the schedulers:
- * nearest factories first, widening from 1 to 3 candidates once the
- * op has waited past @p adapt_timeout, and skipping factories with
- * no distilled state.  Appends (terminal(f), f) pairs to @p dsts.
- *
- * @return true when at least one stocked candidate was appended —
- * false is a starvation, counted by the caller.
- */
-template <typename Terminal>
-bool
-appendStockedFactories(const MagicFactoryPool &pool,
-                       const std::vector<int> &order, int wait,
-                       int adapt_timeout,
-                       std::vector<std::pair<Coord, int>> &dsts,
-                       Terminal &&terminal)
-{
-    size_t limit = wait >= adapt_timeout
-        ? std::min<size_t>(3, order.size())
-        : 1;
-    bool any_stock = false;
-    for (size_t f = 0; f < limit; ++f) {
-        int fac = order[f];
-        if (!pool.hasState(fac))
-            continue;
-        any_stock = true;
-        dsts.emplace_back(terminal(fac), fac);
-    }
-    return any_stock;
-}
 
 /**
  * Failure memos: skip the placement attempts that provably fail

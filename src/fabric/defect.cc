@@ -146,6 +146,20 @@ DefectMap::routeExposure(const Coord &a, const Coord &b) const
     return static_cast<double>(dead) / area;
 }
 
+std::vector<uint8_t>
+DefectMap::deadMask(int width, int height) const
+{
+    std::vector<uint8_t> mask;
+    if (empty())
+        return mask;
+    mask.assign(static_cast<size_t>(width * height), 0);
+    for (int y = 0; y < height; ++y)
+        for (int x = 0; x < width; ++x)
+            if (deadTile(x, y))
+                mask[static_cast<size_t>(y * width + x)] = 1;
+    return mask;
+}
+
 std::vector<Coord>
 DefectMap::deadTiles() const
 {

@@ -168,6 +168,13 @@ class DefectMap
     /** Dead tiles in row-major order (heatmap emission). */
     std::vector<Coord> deadTiles() const;
 
+    /**
+     * @return the row-major dead-tile mask of the @p width x
+     * @p height region at the origin (non-zero = dead), or an empty
+     * mask for the empty map — a layout's partition::CellMask.
+     */
+    std::vector<uint8_t> deadMask(int width, int height) const;
+
     /** Disabled links as (a, b) adjacent tile pairs, horizontal
      *  first then vertical, in index order. */
     std::vector<std::pair<Coord, Coord>> disabledLinks() const;

@@ -45,8 +45,7 @@ hybridOptions(const engine::WorkItem &item, ArbiterKind arbiter)
     estimate::ModelConstants mk;
     estimate::SurgeryConstants sk;
 
-    HybridOptions opts;
-    opts.code_distance = d;
+    HybridOptions opts{engine::loopOptions(c, d)};
     opts.arbiter = arbiter;
     opts.rounds_per_hop = sk.rounds_per_hop;
     opts.swap_hop_cycles = c.tech.swapHopCycles(d);
@@ -60,16 +59,6 @@ hybridOptions(const engine::WorkItem &item, ArbiterKind arbiter)
     opts.layout_objective =
         partition::layoutObjective(c.layout_objective);
     opts.lane_spacing = c.lane_spacing;
-    opts.adapt_timeout = c.adapt_timeout;
-    opts.bfs_timeout = c.bfs_timeout;
-    opts.drop_timeout = c.drop_timeout;
-    opts.max_cycles = c.max_cycles;
-    opts.magic_production_cycles = c.magic_production_cycles;
-    opts.magic_buffer_capacity = c.magic_buffer_capacity;
-    opts.fast_forward = c.fast_forward;
-    opts.seed = c.seed;
-    opts.defects = c.defectParams();
-    opts.trace = c.trace;
     return opts;
 }
 

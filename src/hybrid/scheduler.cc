@@ -2,53 +2,21 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "circuit/dag.h"
 #include "circuit/schedule.h"
 #include "common/logging.h"
-#include "engine/sim.h"
 #include "surgery/patch_arch.h"
 
 namespace qsurf::hybrid {
 
 namespace {
 
-using circuit::GateKind;
-
-/** How an op uses the machine. */
-enum class OpClass : uint8_t
-{
-    Local, ///< 1-qubit non-T gate: patch-local, d cycles.
-    TGate, ///< T/Tdag: sources a state from a factory patch.
-    TwoQ,  ///< 2-qubit gate: one arbitrated communication op.
-};
-
-struct OpRec
-{
-    OpClass cls = OpClass::Local;
-    int32_t qa = -1;
-    int32_t qb = -1;
-    int pending_preds = 0;
-    int wait = 0;      ///< Cycles spent failing to place.
-    int est_tiles = 0; ///< Ideal corridor length, in patch tiles.
-    Scheme scheme = Scheme::Braid; ///< Valid when scheme_set.
-    bool scheme_set = false;
-    network::Path route; ///< Currently claimed corridor (mesh
-                         ///< schemes only; teleports claim nothing).
-};
-
-OpClass
-classify(const circuit::Gate &g)
-{
-    if (consumesMagicState(g.kind))
-        return OpClass::TGate;
-    int arity = g.arity();
-    fatalIf(arity > 2, "gate ", circuit::gateName(g.kind),
-            " must be decomposed before hybrid scheduling");
-    return arity == 2 ? OpClass::TwoQ : OpClass::Local;
-}
+using engine::OpClass;
 
 /** Merge/split cost of a chain across @p tiles patch tiles, in
  *  cycles: rounds_per_hop boundary-stabilization rounds of d cycles
@@ -183,7 +151,7 @@ criticalPathOn(const circuit::Circuit &circ, const circuit::Dag &dag,
 
         const circuit::Gate &g = circ.gate(i);
         uint64_t lat;
-        switch (classify(g)) {
+        switch (engine::classify(g, "hybrid")) {
           case OpClass::Local:
             lat = static_cast<uint64_t>(opts.code_distance);
             break;
@@ -204,63 +172,45 @@ criticalPathOn(const circuit::Circuit &circ, const circuit::Dag &dag,
     return best;
 }
 
-/** The simulator. */
-class Simulator
+struct HybridOp : engine::LoopOp
 {
+    Scheme scheme = Scheme::Braid; ///< Valid when scheme_set.
+    bool scheme_set = false;
+    int est_tiles = 0; ///< Ideal corridor length, in patch tiles.
+};
+
+/** The hybrid scheme of the shared loop. */
+class HybridSim
+    : public engine::Loop<HybridSim, HybridOp, surgery::PatchPrepared,
+                          engine::ChainClaimer>
+{
+    using Base = engine::Loop<HybridSim, HybridOp,
+                              surgery::PatchPrepared,
+                              engine::ChainClaimer>;
+    friend Base;
+
   public:
-    Simulator(const circuit::Circuit &circ, const HybridOptions &opts,
+    HybridSim(const circuit::Circuit &circ, const HybridOptions &opts,
               const surgery::PatchPrepared &prep)
-        : circ(circ), opts(opts), dag(prep.dag), graph(prep.graph),
-          arch(prep.arch), mesh(arch.makeMesh()),
-          claim_opts(makeClaimOptions(opts)),
-          claimer(mesh, claim_opts), corridors(arch),
+        : Base("hybrid", circ, prep, opts, false), hybrid_opts(opts),
+          corridors(arch),
           arbiter(makeArbiter(opts.arbiter, makeCosts(opts))),
-          channels(channelSlots(opts, arch)), crit(prep.crit),
-          memos(circ.size(), opts.fast_forward), trace(opts.trace)
+          channels(channelSlots(opts, arch))
     {
-        if (trace) {
-            trace->meshDims(mesh.width(), mesh.height());
-            obs::traceMeshDefects(trace, mesh);
-        }
         for (const Coord &terminal : arch.reservedTerminals())
             claimer.reserveTerminal(terminal);
-        factory_order.resize(
-            static_cast<size_t>(graph.num_qubits));
-        for (int q = 0; q < graph.num_qubits; ++q)
-            factory_order[static_cast<size_t>(q)] =
-                arch.factoriesByDistance(q);
-        buildOps();
-        factories.configure(arch.numFactories(),
-                            opts.magic_production_cycles,
-                            opts.magic_buffer_capacity);
-        factories.setTrace(trace);
+        for (HybridOp &op : ops)
+            op.est_tiles = estimateTiles(op);
     }
 
     HybridResult
     run()
     {
-        seedReady();
-        uint64_t completed = 0;
-        auto total = static_cast<uint64_t>(circ.size());
-
-        while (completed < total) {
-            fatalIf(cycle > opts.max_cycles,
-                    "hybrid simulation exceeded ", opts.max_cycles,
-                    " cycles; likely a configuration problem");
-            factories.replenish(cycle);
-            placementPhase();
-            if (opts.fast_forward)
-                fastForwardPhase();
-            mesh.tick();
-            ++cycle;
-            completed += completionPhase();
-        }
-
+        loop();
         HybridResult out;
-        out.schedule_cycles = cycle;
+        report(out);
         out.critical_path_cycles =
-            criticalPathOn(circ, dag, arch, opts);
-        out.mesh_utilization = mesh.utilization();
+            criticalPathOn(circ, dag, arch, hybrid_opts);
         out.peak_busy_links =
             static_cast<uint64_t>(mesh.peakBusyLinks());
         out.braid_ops = braid_ops;
@@ -268,11 +218,7 @@ class Simulator
         out.surgery_ops = surgery_ops;
         out.local_ops = local_ops;
         out.arbiter_fallbacks = arbiter_fallbacks;
-        out.placement_failures = placement_failures;
         out.transpose_fallbacks = claimer.transposeFallbacks();
-        out.bfs_detours = claimer.bfsDetours();
-        out.drops = drops;
-        out.magic_starvations = magic_starvations;
         out.total_chain_tiles = total_chain_tiles;
         out.max_chain_tiles = max_chain_tiles;
         auto chains = live_chains.summarize(cycle);
@@ -281,30 +227,12 @@ class Simulator
         auto live = live_eprs.summarize(cycle);
         out.peak_live_eprs = live.peak;
         out.avg_live_eprs = live.average;
-        out.layout_cost = arch.layoutCost(graph);
         out.corridor_cost = arch.corridorCost(graph);
         out.lane_area_factor = arch.laneAreaFactor();
-        out.ff_skipped_cycles = ff.skipped();
-        out.defect_dead_fraction = arch.defects().deadFraction();
-        out.defect_avg_multiplier =
-            arch.defects().avgErrorMultiplier();
-        out.defective_nodes =
-            static_cast<uint64_t>(mesh.numDefectiveNodes());
-        out.defective_links =
-            static_cast<uint64_t>(mesh.numDefectiveLinks());
         return out;
     }
 
   private:
-    static engine::RouteClaimOptions
-    makeClaimOptions(const HybridOptions &opts)
-    {
-        engine::RouteClaimOptions c;
-        c.adapt_timeout = opts.adapt_timeout;
-        c.bfs_timeout = opts.bfs_timeout;
-        return c;
-    }
-
     static int
     channelSlots(const HybridOptions &opts,
                  const surgery::PatchArch &arch)
@@ -314,25 +242,9 @@ class Simulator
         return arch.patchWidth() + arch.patchHeight();
     }
 
-    void
-    buildOps()
-    {
-        ops.resize(static_cast<size_t>(circ.size()));
-        for (int i = 0; i < circ.size(); ++i) {
-            const circuit::Gate &g = circ.gate(i);
-            OpRec &op = ops[static_cast<size_t>(i)];
-            op.cls = classify(g);
-            op.qa = g.qubit[0];
-            op.qb = g.arity() == 2 ? g.qubit[1] : -1;
-            op.pending_preds =
-                static_cast<int>(dag.preds(i).size());
-            op.est_tiles = estimateTiles(op);
-        }
-    }
-
     /** Ideal (Manhattan) corridor length of @p op, in patch tiles. */
     int
-    estimateTiles(const OpRec &op) const
+    estimateTiles(const HybridOp &op) const
     {
         switch (op.cls) {
           case OpClass::Local:
@@ -350,40 +262,21 @@ class Simulator
         panic("bad OpClass");
     }
 
-    void
-    seedReady()
-    {
-        for (int i = 0; i < circ.size(); ++i)
-            if (ops[static_cast<size_t>(i)].pending_preds == 0)
-                makeReady(i);
-    }
-
-    void
-    makeReady(int i)
-    {
-        ops[static_cast<size_t>(i)].wait = 0;
-        memos.forget(i);
-        ready.insert(makeEntry(i));
-        if (trace)
-            trace->record({cycle, obs::EventKind::OpReady, i});
-    }
-
     /** Criticality-first, short-corridor tie-break (like surgery:
      *  nothing releases early, so keep corridors turning over). */
     engine::ReadyEntry
-    makeEntry(int i)
+    key(int i) const
     {
-        const OpRec &op = ops[static_cast<size_t>(i)];
         engine::ReadyEntry e;
         e.id = i;
         e.k1 = -crit[static_cast<size_t>(i)];
-        e.k2 = op.est_tiles;
+        e.k2 = ops[static_cast<size_t>(i)].est_tiles;
         return e;
     }
 
-    /** The decision inputs of op @p i right now. */
+    /** The decision inputs of op @p op right now. */
     OpContext
-    contextFor(const OpRec &op) const
+    contextFor(const HybridOp &op) const
     {
         OpContext ctx;
         ctx.tiles = op.est_tiles;
@@ -406,24 +299,16 @@ class Simulator
         return ctx;
     }
 
-    bool
-    tryPlace(int i)
+    std::optional<engine::FailKind>
+    claim(int i, HybridOp &op)
     {
-        OpRec &op = ops[static_cast<size_t>(i)];
-        if (op.cls == OpClass::Local) {
-            ++local_ops;
-            if (trace)
-                trace->record({cycle, obs::EventKind::OpIssue, i, 0,
-                               opts.code_distance});
-            activate(i, static_cast<uint64_t>(opts.code_distance));
-            return true;
-        }
-
         // The scheme is decided once per queue epoch (re-arbitrated
         // after a drop), from the machine state at the first
         // attempt.  During a stall the mesh and channels are frozen,
         // so a per-attempt re-decision would answer identically —
-        // which is what keeps fast-forward elision exact.
+        // which is what keeps fast-forward elision exact.  A failure
+        // memo never outlives its epoch (a drop forgets it), so no
+        // replayed attempt skips a decision.
         if (!op.scheme_set) {
             OpContext ctx = contextFor(op);
             op.scheme = arbiter->choose(ctx);
@@ -434,32 +319,8 @@ class Simulator
                                static_cast<int64_t>(op.scheme),
                                ctx.tiles});
         }
-        uint64_t stock =
-            op.cls == OpClass::TGate ? factories.version() : 0;
-        if (auto repeat = memos.replay(
-                i, mesh, stock,
-                engine::escalationStage(op.wait, claim_opts)))
-            return stalled(i, *repeat);
-        return op.scheme == Scheme::Teleport ? placeTeleport(i)
-                                             : placeCorridor(i);
-    }
-
-    /**
-     * Account a failed attempt of op @p i, real or replayed from its
-     * memo — one path, so the two cannot drift apart.
-     * @return false, for tryPlace() to return.
-     */
-    bool
-    stalled(int i, engine::FailKind kind)
-    {
-        if (kind == engine::FailKind::Starved) {
-            ++magic_starvations;
-            ++pass_starved;
-        }
-        engine::traceStall(trace, cycle, i,
-                           ops[static_cast<size_t>(i)].wait, kind,
-                           claim_opts);
-        return false;
+        return op.scheme == Scheme::Teleport ? placeTeleport(i, op)
+                                             : placeCorridor(i, op);
     }
 
     /**
@@ -468,26 +329,23 @@ class Simulator
      * after transport + teleport cost + d.  Never touches the mesh,
      * so the only way to fail is magic-state starvation.
      */
-    bool
-    placeTeleport(int i)
+    std::optional<engine::FailKind>
+    placeTeleport(int i, const HybridOp &op)
     {
-        OpRec &op = ops[static_cast<size_t>(i)];
         int tiles = op.est_tiles;
         if (op.cls == OpClass::TGate) {
             int fac = firstStockedFactory(op.qa);
             if (fac < 0)
-                return stalled(i, memos.fail(i, mesh,
-                                             engine::FailKind::Starved));
+                return engine::FailKind::Starved;
             factories.consume(fac);
             tiles = manhattan(arch.patchOf(op.qa),
                               arch.factoryPatch(fac));
         }
-        uint64_t transport = transportCycles(opts, tiles);
+        uint64_t transport = transportCycles(hybrid_opts, tiles);
         uint64_t start = channels.acquire(cycle, transport);
         uint64_t arrival = start + transport;
         live_eprs.add(cycle, arrival);
         ++teleport_ops;
-        uint64_t duration = arrival - cycle + teleportTail(opts);
         if (trace) {
             trace->record({cycle, obs::EventKind::TeleportChannel, i,
                            static_cast<int64_t>(start),
@@ -496,11 +354,9 @@ class Simulator
                 trace->record({cycle, obs::EventKind::TeleportStall,
                                i,
                                static_cast<int64_t>(start - cycle)});
-            trace->record({cycle, obs::EventKind::OpIssue, i, 2,
-                           static_cast<int64_t>(duration)});
         }
-        activate(i, duration);
-        return true;
+        issue(i, arrival - cycle + teleportTail(hybrid_opts), 2);
+        return std::nullopt;
     }
 
     /** @return the nearest factory with a state, or -1. */
@@ -519,32 +375,12 @@ class Simulator
      * surgery corridors contend for the same fabric — and hold it
      * for the scheme's occupancy time.
      */
-    bool
-    placeCorridor(int i)
+    std::optional<engine::FailKind>
+    placeCorridor(int i, const HybridOp &op)
     {
-        OpRec &op = ops[static_cast<size_t>(i)];
+        if (!destinations(op))
+            return engine::FailKind::Starved;
         Coord src = arch.terminal(op.qa);
-        std::vector<std::pair<Coord, int>> &dsts = dsts_scratch;
-        dsts.clear();
-        if (op.cls == OpClass::TwoQ) {
-            dsts.emplace_back(arch.terminal(op.qb), -1);
-        } else if (!engine::appendStockedFactories(
-                       factories,
-                       factory_order[static_cast<size_t>(op.qa)],
-                       op.wait, opts.adapt_timeout, dsts,
-                       [this](int f) {
-                           return arch.factoryTerminal(f);
-                       })) {
-            return stalled(
-                i, memos.fail(i, mesh, engine::FailKind::Starved));
-        }
-
-        uint64_t transpose_before = 0;
-        uint64_t bfs_before = 0;
-        if (trace) {
-            transpose_before = claimer.transposeFallbacks();
-            bfs_before = claimer.bfsDetours();
-        }
         network::Blockers *blockers = memos.blockers();
         for (const auto &[dst, factory] : dsts) {
             // A held terminal fails every stage: build no corridor.
@@ -555,225 +391,70 @@ class Simulator
             auto chain = claimer.tryClaim(routes.primary,
                                           routes.fallback, i,
                                           op.wait, blockers);
-            if (chain) {
-                if (trace) {
-                    int64_t stage = 0;
-                    if (claimer.bfsDetours() != bfs_before)
-                        stage = 2;
-                    else if (claimer.transposeFallbacks()
-                             != transpose_before)
-                        stage = 1;
-                    trace->record({cycle, obs::EventKind::RouteClaim,
-                                   i, stage, chain->hops(), factory});
-                    if (stage > 0)
-                        trace->record({cycle,
-                                       obs::EventKind::RouteFallback,
-                                       i, stage});
-                }
-                factories.consume(factory);
-                placed(i, std::move(*chain));
-                return true;
-            }
+            if (!chain)
+                continue;
+            claimed(i, *chain, claimer.lastStage(), factory);
+            placed(i, op, std::move(*chain));
+            return std::nullopt;
         }
-        return stalled(i, memos.fail(i, mesh, engine::FailKind::Denied));
+        return engine::FailKind::Denied;
     }
 
-    /** Record a successful corridor placement. */
+    /** Hold a claimed corridor for its scheme's occupancy time. */
     void
-    placed(int i, network::Path chain)
+    placed(int i, const HybridOp &op, network::Path &&chain)
     {
-        OpRec &op = ops[static_cast<size_t>(i)];
-        uint64_t duration;
-        int64_t lane;
-        int64_t tiles_held = 0;
         if (op.scheme == Scheme::Braid) {
             ++braid_ops;
-            duration = braidHold(opts, op.cls);
-            lane = 1;
-        } else {
-            ++surgery_ops;
-            int tiles = surgery::PatchArch::chainTiles(chain.hops());
-            // One cycle to turn the boundary measurements on, then
-            // the merge/split rounds across the whole corridor.
-            duration = chainCycles(opts, tiles) + 1;
-            lane = 3;
-            tiles_held = tiles;
-            total_chain_tiles += static_cast<uint64_t>(tiles);
-            max_chain_tiles = std::max(max_chain_tiles,
-                                       static_cast<uint64_t>(tiles));
-            live_chains.add(cycle, cycle + duration);
-        }
-        op.route = std::move(chain);
-        if (trace) {
-            if (op.scheme == Scheme::Surgery)
-                trace->record({cycle, obs::EventKind::ChainHold, i,
-                               tiles_held,
-                               static_cast<int64_t>(duration)});
-            trace->routeHeld(op.route, cycle, duration);
-            trace->record({cycle, obs::EventKind::OpIssue, i, lane,
-                           static_cast<int64_t>(duration)});
-        }
-        activate(i, duration);
-    }
-
-    void
-    activate(int i, uint64_t duration)
-    {
-        memos.forget(i);
-        expiry.schedule(cycle + duration, i);
-    }
-
-    /** Greedy placement, criticality-ordered. */
-    void
-    placementPhase()
-    {
-        pass_placed = 0;
-        pass_dropped = 0;
-        pass_starved = 0;
-        attempted.clear();
-
-        int failures = 0;
-        dropped_scratch.clear();
-        auto it = ready.begin();
-        while (it != ready.end()
-               && failures < opts.max_attempts_per_cycle) {
-            int i = it->id;
-            int wait_used = ops[static_cast<size_t>(i)].wait;
-            if (tryPlace(i)) {
-                ++pass_placed;
-                it = ready.erase(it);
-                continue;
-            }
-            ++failures;
-            ++placement_failures;
-            OpRec &op = ops[static_cast<size_t>(i)];
-            ++op.wait;
-            if (op.wait >= opts.drop_timeout) {
-                // Drop and re-inject.  The congestion-reactive
-                // arbiter re-routes the contended op onto the
-                // teleport overlay; others re-arbitrate fresh.
-                ++drops;
-                ++pass_dropped;
-                if (trace)
-                    trace->record(
-                        {cycle, obs::EventKind::RouteDrop, i});
-                op.wait = 0;
-                memos.forget(i);
-                if (op.scheme_set && op.scheme != Scheme::Teleport
-                    && arbiter->fallbackToTeleport()) {
-                    op.scheme = Scheme::Teleport;
-                    ++arbiter_fallbacks;
-                    if (trace)
-                        trace->record(
-                            {cycle, obs::EventKind::ArbiterDecision,
-                             i,
-                             static_cast<int64_t>(Scheme::Teleport),
-                             op.est_tiles, 1});
-                } else {
-                    op.scheme_set = false;
-                }
-                it = ready.erase(it);
-                dropped_scratch.push_back(i);
-                continue;
-            }
-            attempted.push_back({i, wait_used});
-            ++it;
-        }
-        for (int i : dropped_scratch)
-            ready.insert(makeEntry(i));
-    }
-
-    /**
-     * After a pass that placed and dropped nothing, jump to the
-     * next interesting event of *any* scheme: the earliest expiry
-     * (braid release, chain split, teleport completion — all
-     * retire through the one queue), a stalled op's escalation
-     * threshold, or a factory replenishment.
-     */
-    void
-    fastForwardPhase()
-    {
-        if (pass_placed > 0 || pass_dropped > 0)
+            hold(i, std::move(chain), braidHold(hybrid_opts, op.cls),
+                 1);
             return;
-        uint64_t skip = engine::fastForwardAfterStall(
-            ff, expiry, mesh, cycle, opts.max_cycles + 1, attempted,
-            [this](int i) -> int & {
-                return ops[static_cast<size_t>(i)].wait;
-            },
-            claim_opts, opts.drop_timeout, placement_failures,
-            [this](engine::FastForward &planner) {
-                factories.registerEvents(planner);
-            });
-        if (trace && skip > 0)
-            trace->record({cycle, obs::EventKind::FastForwardSkip, -1,
-                           static_cast<int64_t>(skip)});
-        cycle += skip;
-        magic_starvations += pass_starved * skip;
-    }
-
-    /** Retire expired ops; returns number completed. */
-    uint64_t
-    completionPhase()
-    {
-        uint64_t completed = 0;
-        while (auto ripe = expiry.popRipe(cycle)) {
-            int i = *ripe;
-            OpRec &op = ops[static_cast<size_t>(i)];
-            if (!op.route.empty()) {
-                claimer.release(op.route, i);
-                op.route = network::Path{};
-            }
-            if (trace)
-                trace->record({cycle, obs::EventKind::OpRetire, i});
-            ++completed;
-            for (int s : dag.succs(i))
-                if (--ops[static_cast<size_t>(s)].pending_preds == 0)
-                    makeReady(s);
         }
-        return completed;
+        ++surgery_ops;
+        int tiles = surgery::PatchArch::chainTiles(chain.hops());
+        // One cycle to turn the boundary measurements on, then the
+        // merge/split rounds across the whole corridor.
+        uint64_t duration = chainCycles(hybrid_opts, tiles) + 1;
+        total_chain_tiles += static_cast<uint64_t>(tiles);
+        max_chain_tiles =
+            std::max(max_chain_tiles, static_cast<uint64_t>(tiles));
+        live_chains.add(cycle, cycle + duration);
+        if (trace)
+            trace->record({cycle, obs::EventKind::ChainHold, i, tiles,
+                           static_cast<int64_t>(duration)});
+        hold(i, std::move(chain), duration, 3);
     }
 
-    const circuit::Circuit &circ;
-    const HybridOptions &opts;
-    const circuit::Dag &dag;
-    const circuit::InteractionGraph &graph;
-    const surgery::PatchArch &arch;
-    network::Mesh mesh;
-    engine::RouteClaimOptions claim_opts;
-    engine::ChainClaimer claimer;
+    /** The congestion-reactive arbiter re-routes a dropped op onto
+     *  the teleport overlay; others re-arbitrate fresh. */
+    void
+    dropped(int i, HybridOp &op)
+    {
+        if (op.scheme_set && op.scheme != Scheme::Teleport
+            && arbiter->fallbackToTeleport()) {
+            op.scheme = Scheme::Teleport;
+            ++arbiter_fallbacks;
+            if (trace)
+                trace->record({cycle, obs::EventKind::ArbiterDecision,
+                               i,
+                               static_cast<int64_t>(Scheme::Teleport),
+                               op.est_tiles, 1});
+        } else {
+            op.scheme_set = false;
+        }
+    }
+
+    const HybridOptions &hybrid_opts;
     surgery::CorridorRouter corridors;
     std::unique_ptr<Arbiter> arbiter;
     engine::ChannelPool channels;
-    engine::MagicFactoryPool factories;
-
-    std::vector<OpRec> ops;
-    const std::vector<int> &crit;
-    engine::FailMemos memos;
-    obs::TraceRecorder *trace;
-    std::vector<std::vector<int>> factory_order; ///< Per qubit.
-    engine::ReadyQueue ready;
-    engine::ExpiryQueue expiry;
     engine::LiveIntervalProfile live_eprs;
     engine::LiveIntervalProfile live_chains;
-    engine::FastForward ff;
-    uint64_t cycle = 0;
-
-    /** Per-pass bookkeeping feeding fastForwardPhase(). */
-    uint64_t pass_placed = 0;
-    uint64_t pass_dropped = 0;
-    uint64_t pass_starved = 0;
-    std::vector<std::pair<int, int>> attempted; ///< (id, wait used).
-    std::vector<int> dropped_scratch;
-    std::vector<std::pair<Coord, int>> dsts_scratch;
 
     uint64_t braid_ops = 0;
     uint64_t teleport_ops = 0;
     uint64_t surgery_ops = 0;
-    uint64_t local_ops = 0;
     uint64_t arbiter_fallbacks = 0;
-    uint64_t placement_failures = 0;
-    uint64_t drops = 0;
-    uint64_t magic_starvations = 0;
     uint64_t total_chain_tiles = 0;
     uint64_t max_chain_tiles = 0;
 };
@@ -784,7 +465,6 @@ surgery::PatchArchOptions
 patchArchOptions(const HybridOptions &opts)
 {
     surgery::PatchArchOptions a;
-    a.patches_per_factory = opts.patches_per_factory;
     a.optimized_layout = opts.optimized_layout;
     a.layout_objective = opts.layout_objective;
     a.lane_spacing = opts.lane_spacing;
@@ -812,7 +492,7 @@ scheduleHybrid(const circuit::Circuit &circ, const HybridOptions &opts,
     fatalIf(opts.swap_hop_cycles <= 0,
             "swap_hop_cycles must be > 0, got ",
             opts.swap_hop_cycles);
-    return Simulator(circ, opts, prepared).run();
+    return HybridSim(circ, opts, prepared).run();
 }
 
 } // namespace qsurf::hybrid

@@ -32,12 +32,16 @@
  * describe those holds.  The "planar/surgery-sim" backend runs
  * exactly that.
  *
- * The simulator reuses the engine's deterministic primitives —
- * ReadyQueue, ExpiryQueue, ChainClaimer, ChannelPool,
- * MagicFactoryPool, LiveIntervalProfile and the FastForward planner
- * (whose jump targets cover all three schemes' wake events) — so
- * runs are bit-identical for a fixed (circuit, options) at any sweep
- * thread count and with fast-forward on or off.
+ * The cycle loop is engine::Loop, shared with the braid scheduler:
+ * its ready and expiry queues, failure memos, factory pool and
+ * fast-forward planner (whose jump targets cover all three schemes'
+ * wake events, since every hold retires through the one expiry
+ * queue) are the braid loop's.  The hybrid scheme adds only the
+ * criticality-first key, the once-per-epoch arbiter decision with
+ * the teleport or ChainClaimer-corridor claim it picks, and the
+ * reactive re-arbitration on a drop — so runs are bit-identical for
+ * a fixed (circuit, options) at any sweep thread count and with
+ * fast-forward on or off.
  */
 
 #ifndef QSURF_HYBRID_SCHEDULER_H
@@ -46,19 +50,21 @@
 #include <cstdint>
 
 #include "circuit/circuit.h"
+#include "engine/loop.h"
 #include "hybrid/arbiter.h"
-#include "obs/trace.h"
 #include "partition/layout.h"
 #include "surgery/patch_arch.h"
 
 namespace qsurf::hybrid {
 
-/** Simulation knobs. */
-struct HybridOptions
+/**
+ * Simulation knobs: the loop's (engine::LoopOptions) plus the
+ * scheme costs and the patch layout.  drop_timeout is also the
+ * congestion-reactive arbiter's teleport-fallback trigger, and all
+ * three schemes consume magic states from one factory pool.
+ */
+struct HybridOptions : engine::LoopOptions
 {
-    /** Code distance d. */
-    int code_distance = 5;
-
     /** Scheme arbitration policy. */
     ArbiterKind arbiter = ArbiterKind::CostGreedy;
 
@@ -89,9 +95,6 @@ struct HybridOptions
      */
     int epr_bandwidth = 0;
 
-    /** Data patches per magic-state factory patch. */
-    int patches_per_factory = 8;
-
     /** Use the interaction-aware layout. */
     bool optimized_layout = true;
 
@@ -103,65 +106,15 @@ struct HybridOptions
     /** Patch rows/columns between dedicated ancilla lanes. */
     int lane_spacing = 4;
 
-    /** Cycles an op waits before trying the transposed corridor. */
-    int adapt_timeout = 4;
-
-    /** Cycles before falling back to the adaptive BFS corridor. */
-    int bfs_timeout = 8;
-
-    /** Cycles before the op is dropped and re-injected (the
-     *  congestion-reactive arbiter's teleport-fallback trigger). */
-    int drop_timeout = 16;
-
-    /** Cap on failed placement attempts per cycle. */
-    int max_attempts_per_cycle = 64;
-
-    /**
-     * Cycles a factory patch needs to distill one magic state; 0
-     * means supply is never the bottleneck.  All three schemes
-     * consume from the same engine::MagicFactoryPool.
-     */
-    int magic_production_cycles = 0;
-
-    /** Distilled states a factory patch can buffer. */
-    int magic_buffer_capacity = 2;
-
-    /** Safety bound on simulated cycles. */
-    uint64_t max_cycles = 100'000'000;
-
-    /** Event-driven time skipping and failure memos
-     *  (bit-identical either way). */
-    bool fast_forward = true;
-
-    /** Layout RNG seed. */
-    uint64_t seed = 1;
-
-    /** Fabric damage recipe (see fabric/defect.h).  The default is
-     *  the perfect mesh every run assumed before defect awareness. */
-    fabric::DefectParams defects;
-
     /** Cost penalty per unit of per-route defect exposure on the
      *  mesh-borne schemes (ArbiterCosts::defect_penalty). */
     double defect_penalty = 2.0;
-
-    /** Structured-event trace hook; null disables tracing (see
-     *  obs/trace.h).  Never changes results. */
-    obs::TraceRecorder *trace = nullptr;
 };
 
-/** Results of one hybrid-scheduling run. */
-struct HybridResult
+/** Results of one hybrid-scheduling run.  Its critical path prices
+ *  every op at its cheapest allowed scheme, uncontended. */
+struct HybridResult : engine::LoopResult
 {
-    /** Total cycles to complete the program. */
-    uint64_t schedule_cycles = 0;
-
-    /** Dependence-limited lower bound: every op at its cheapest
-     *  allowed scheme, uncontended. */
-    uint64_t critical_path_cycles = 0;
-
-    /** Average fraction of mesh links busy. */
-    double mesh_utilization = 0;
-
     /** Peak simultaneously claimed mesh links. */
     uint64_t peak_busy_links = 0;
 
@@ -176,20 +129,8 @@ struct HybridResult
     /** Dropped ops the reactive arbiter re-routed to teleport. */
     uint64_t arbiter_fallbacks = 0;
 
-    /** Failed placement attempts (corridor conflicts). */
-    uint64_t placement_failures = 0;
-
     /** Placements that needed the transposed corridor. */
     uint64_t transpose_fallbacks = 0;
-
-    /** Placements that needed the BFS corridor detour. */
-    uint64_t bfs_detours = 0;
-
-    /** Drop/re-inject events. */
-    uint64_t drops = 0;
-
-    /** T placements refused because no factory had a state ready. */
-    uint64_t magic_starvations = 0;
 
     /** Peak live (launched, unconsumed) EPR pairs. */
     uint64_t peak_live_eprs = 0;
@@ -209,40 +150,11 @@ struct HybridResult
     /** Time-averaged live merge/split chains. */
     double avg_live_chains = 0;
 
-    /** Interaction-weighted layout cost (Manhattan tiles). */
-    double layout_cost = 0;
-
     /** Interaction-weighted corridor cost (around-patch tiles). */
     double corridor_cost = 0;
 
     /** Mesh area relative to the lane-free machine (>= 1). */
     double lane_area_factor = 1;
-
-    /** Cycles elided by the event-driven fast-forward. */
-    uint64_t ff_skipped_cycles = 0;
-
-    /** Fraction of fabric tiles dead (0 on a perfect fabric). */
-    double defect_dead_fraction = 0;
-
-    /** Mean per-tile error-rate multiplier over live tiles (1 on a
-     *  perfect fabric). */
-    double defect_avg_multiplier = 1;
-
-    /** Permanently defective mesh routers. */
-    uint64_t defective_nodes = 0;
-
-    /** Permanently defective mesh links. */
-    uint64_t defective_links = 0;
-
-    /** @return schedule length / critical path. */
-    double
-    ratio() const
-    {
-        return critical_path_cycles
-            ? static_cast<double>(schedule_cycles)
-                / static_cast<double>(critical_path_cycles)
-            : 0.0;
-    }
 
     /** @return communicating ops (braid + teleport + surgery). */
     uint64_t

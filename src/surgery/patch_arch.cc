@@ -9,16 +9,6 @@ namespace qsurf::surgery {
 
 namespace {
 
-/** Convert the interaction graph into a partitioner graph. */
-partition::Graph
-toPartitionGraph(const circuit::InteractionGraph &ig)
-{
-    partition::Graph g(ig.num_qubits);
-    for (const auto &[pair, w] : ig.edges)
-        g.addEdge(pair.first, pair.second, static_cast<int64_t>(w));
-    return g;
-}
-
 /** Step @p from one unit toward @p to (+1 on a tie; ties reach the
  *  routing waypoints only via walkTo's unused axis — corridorRoute
  *  never lets a tie pick a corridor side). */
@@ -208,18 +198,11 @@ PatchArch::PatchArch(const circuit::InteractionGraph &graph,
         }
     }
 
-    partition::CellMask mask;
-    if (!defect_map.empty()) {
-        mask.assign(static_cast<size_t>(dw * dh), 0);
-        for (int y = 0; y < dh; ++y)
-            for (int x = 0; x < dw; ++x)
-                if (defect_map.deadTile(x, y))
-                    mask[static_cast<size_t>(y * dw + x)] = 1;
-    }
+    partition::CellMask mask = defect_map.deadMask(dw, dh);
     qubit_patch.resize(static_cast<size_t>(nq));
     partition::GridLayout layout;
     if (opts.optimized_layout) {
-        partition::Graph pg = toPartitionGraph(graph);
+        partition::Graph pg = circuit::toPartitionGraph(graph);
         layout = partition::layoutOnGrid(pg, dw, dh, opts.seed, mask);
         // The corridor objectives refine the bisection seed against
         // the around-patch corridor metric — lane-aware when lanes

@@ -34,6 +34,8 @@
 #include "engine/registry.h"
 #include "engine/sweep.h"
 #include "hybrid/scheduler.h"
+#include "network/mesh.h"
+#include "obs/trace.h"
 
 namespace qsurf::engine {
 namespace {
@@ -329,6 +331,233 @@ TEST(Golden, ModelResultsAreContractionFree)
         double seconds = backend.run(item).seconds;
         EXPECT_EQ(std::bit_cast<uint64_t>(seconds), p.seconds_bits)
             << p.backend << ": seconds " << std::hexfloat << seconds;
+    }
+}
+
+/**
+ * FNV-1a over every record() and routeHeld() call, in the order the
+ * scheduler makes them — unlike obs::RunRecorder, which sorts its
+ * buffer, so a reordering within one cycle changes the hash too.
+ */
+class HashingRecorder final : public obs::TraceRecorder
+{
+  public:
+    void
+    record(const obs::TraceEvent &e) override
+    {
+        mix(0);
+        mix(e.cycle);
+        mix(static_cast<uint64_t>(e.kind));
+        mix(static_cast<uint64_t>(static_cast<int64_t>(e.op)));
+        mix(static_cast<uint64_t>(e.a));
+        mix(static_cast<uint64_t>(e.b));
+        mix(static_cast<uint64_t>(e.c));
+        ++calls;
+    }
+
+    void
+    routeHeld(const network::Path &route, uint64_t start,
+              uint64_t duration) override
+    {
+        mix(1);
+        mix(start);
+        mix(duration);
+        mix(route.nodes.size());
+        for (const Coord &c : route.nodes) {
+            mix(static_cast<uint64_t>(static_cast<int64_t>(c.x)));
+            mix(static_cast<uint64_t>(static_cast<int64_t>(c.y)));
+        }
+        ++calls;
+    }
+
+    uint64_t hash = 0xcbf29ce484222325ull;
+    uint64_t calls = 0;
+
+  private:
+    void
+    mix(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash ^= (v >> (8 * i)) & 0xff;
+            hash *= 0x100000001b3ull;
+        }
+    }
+};
+
+/** One pinned event stream. */
+struct StreamGolden
+{
+    const char *app;
+    const char *backend;
+    int policy;
+    int arbiter;
+    const char *scenario;
+    uint64_t calls;
+    uint64_t hash;
+};
+
+/**
+ * Captured at seed 99, d = 5, under obs_test's four scenarios, from
+ * the two schedulers as they stood before their cycle loops moved
+ * into one shared engine core.  Every event, every field and the
+ * order of the calls must reproduce.
+ */
+TEST(Golden, SchedulerEventStreams)
+{
+    static const std::vector<StreamGolden> table = {
+        {"SQ", "double-defect", 0, 0, "baseline", 6838u,
+         0x2de4000ac1d570c4ull},
+        {"SQ", "double-defect", 0, 0, "tight-timeouts", 6971u,
+         0x4a442127b706e5bull},
+        {"SQ", "double-defect", 0, 0, "factory-starvation", 9877u,
+         0x5c7c6142d354e371ull},
+        {"SQ", "double-defect", 0, 0, "damaged-fabric", 9615u,
+         0xb580de244ae95f16ull},
+        {"SQ", "double-defect", 6, 0, "baseline", 6903u,
+         0x5b8b67594c9c2e75ull},
+        {"SQ", "double-defect", 6, 0, "tight-timeouts", 6944u,
+         0x92de04ab0ff68798ull},
+        {"SQ", "double-defect", 6, 0, "factory-starvation", 12165u,
+         0x21260aa888927a84ull},
+        {"SQ", "double-defect", 6, 0, "damaged-fabric", 8625u,
+         0xd96b4d1744cf85a5ull},
+        {"SQ", "hybrid/mixed-sim", 6, 0, "baseline", 6055u,
+         0x80aba741d4a7d300ull},
+        {"SQ", "hybrid/mixed-sim", 6, 0, "tight-timeouts", 6045u,
+         0x1ab6b1832025a365ull},
+        {"SQ", "hybrid/mixed-sim", 6, 0, "factory-starvation", 12377u,
+         0xe67f2d7231c50cbull},
+        {"SQ", "hybrid/mixed-sim", 6, 0, "damaged-fabric", 6278u,
+         0x10339a0b0ab5987full},
+        {"SQ", "hybrid/mixed-sim", 6, 1, "baseline", 6055u,
+         0x80aba741d4a7d300ull},
+        {"SQ", "hybrid/mixed-sim", 6, 1, "tight-timeouts", 6045u,
+         0x1ab6b1832025a365ull},
+        {"SQ", "hybrid/mixed-sim", 6, 1, "factory-starvation", 10893u,
+         0x9b71c04ea8968084ull},
+        {"SQ", "hybrid/mixed-sim", 6, 1, "damaged-fabric", 6278u,
+         0x10339a0b0ab5987full},
+        {"SQ", "planar/surgery-sim", 6, 0, "baseline", 7708u,
+         0xb14247e04e1bd4bbull},
+        {"SQ", "planar/surgery-sim", 6, 0, "tight-timeouts", 8792u,
+         0x101069e2a2d1c631ull},
+        {"SQ", "planar/surgery-sim", 6, 0, "factory-starvation", 8483u,
+         0xa1ee272f9d92026bull},
+        {"SQ", "planar/surgery-sim", 6, 0, "damaged-fabric", 7900u,
+         0xa900a7c9b25fee62ull},
+        {"SHA-1", "double-defect", 0, 0, "baseline", 8216u,
+         0xdddba463a5018a69ull},
+        {"SHA-1", "double-defect", 0, 0, "tight-timeouts", 9001u,
+         0x66bf2f52501a79b3ull},
+        {"SHA-1", "double-defect", 0, 0, "factory-starvation", 9315u,
+         0x43ab134ca137dc0aull},
+        {"SHA-1", "double-defect", 0, 0, "damaged-fabric", 10457u,
+         0xb32bd3717e7776abull},
+        {"SHA-1", "double-defect", 6, 0, "baseline", 7436u,
+         0x59c5f5a3e973cb0full},
+        {"SHA-1", "double-defect", 6, 0, "tight-timeouts", 8013u,
+         0xc12527a75cf83931ull},
+        {"SHA-1", "double-defect", 6, 0, "factory-starvation", 19099u,
+         0x21c345ce10a83fbfull},
+        {"SHA-1", "double-defect", 6, 0, "damaged-fabric", 8390u,
+         0xa3f77755da875a73ull},
+        {"SHA-1", "hybrid/mixed-sim", 6, 0, "baseline", 6473u,
+         0xb0d42c9cf7023234ull},
+        {"SHA-1", "hybrid/mixed-sim", 6, 0, "tight-timeouts", 6675u,
+         0x8a7253454ecd2361ull},
+        {"SHA-1", "hybrid/mixed-sim", 6, 0, "factory-starvation", 20108u,
+         0x2621ba0d72647175ull},
+        {"SHA-1", "hybrid/mixed-sim", 6, 0, "damaged-fabric", 6395u,
+         0xfa8c7c873488da84ull},
+        {"SHA-1", "hybrid/mixed-sim", 6, 1, "baseline", 6513u,
+         0xcda51dda8e4eecbcull},
+        {"SHA-1", "hybrid/mixed-sim", 6, 1, "tight-timeouts", 6508u,
+         0xdb15d6371fb6e798ull},
+        {"SHA-1", "hybrid/mixed-sim", 6, 1, "factory-starvation", 10368u,
+         0xcf29a274bb595c00ull},
+        {"SHA-1", "hybrid/mixed-sim", 6, 1, "damaged-fabric", 6392u,
+         0xf8105c6bd1a20571ull},
+        {"SHA-1", "planar/surgery-sim", 6, 0, "baseline", 16923u,
+         0x3292ac4cd9615fe4ull},
+        {"SHA-1", "planar/surgery-sim", 6, 0, "tight-timeouts", 31319u,
+         0x8442cafcbc6abeefull},
+        {"SHA-1", "planar/surgery-sim", 6, 0, "factory-starvation", 19447u,
+         0xfae4346f8b72d682ull},
+        {"SHA-1", "planar/surgery-sim", 6, 0, "damaged-fabric", 14790u,
+         0x725513e0b6c4c81dull},
+    };
+
+    struct Scenario
+    {
+        const char *name;
+        void (*apply)(RunConfig &);
+    };
+    static const Scenario scenarios[] = {
+        {"baseline", [](RunConfig &) {}},
+        {"tight-timeouts",
+         [](RunConfig &c) {
+             c.adapt_timeout = 2;
+             c.bfs_timeout = 3;
+             c.drop_timeout = 5;
+         }},
+        {"factory-starvation",
+         [](RunConfig &c) {
+             c.magic_production_cycles = 60;
+             c.magic_buffer_capacity = 1;
+         }},
+        {"damaged-fabric",
+         [](RunConfig &c) { c.defect_density = 0.1; }},
+    };
+    struct Run
+    {
+        const char *backend;
+        int policy;
+        int arbiter;
+    };
+    static const Run runs[] = {
+        {backends::double_defect, 0, 0},
+        {backends::double_defect, 6, 0},
+        {backends::hybrid_mixed, 6, 0},
+        {backends::hybrid_mixed, 6, 1},
+        {backends::surgery_sim, 6, 0},
+    };
+
+    std::vector<StreamGolden> got;
+    SweepGrid grid = goldenGrid();
+    for (const AppPoint &app : grid.apps) {
+        circuit::Circuit circ = circuit::decompose(
+            apps::generate(app.kind, app.gen));
+        for (const Run &run : runs) {
+            for (const Scenario &s : scenarios) {
+                WorkItem item;
+                item.app = app.kind;
+                item.app_name = circ.name();
+                item.circuit = &circ;
+                item.config.code_distance = 5;
+                item.config.seed = 99;
+                item.config.policy = run.policy;
+                item.config.hybrid_arbiter = run.arbiter;
+                s.apply(item.config);
+                HashingRecorder rec;
+                item.config.trace = &rec;
+                Registry::global().get(run.backend).run(item);
+                got.push_back({apps::appSpec(app.kind).name.c_str(),
+                               run.backend,
+                               run.policy, run.arbiter, s.name,
+                               rec.calls, rec.hash});
+            }
+        }
+    }
+
+    EXPECT_EQ(got.size(), table.size());
+    for (size_t i = 0; i < got.size(); ++i) {
+        const StreamGolden &g = got[i];
+        EXPECT_TRUE(i < table.size() && g.calls == table[i].calls
+                    && g.hash == table[i].hash)
+            << "stream " << i << " diverged; now {\"" << g.app
+            << "\", \"" << g.backend << "\", " << g.policy << ", "
+            << g.arbiter << ", \"" << g.scenario << "\", " << g.calls
+            << "u, 0x" << std::hex << g.hash << std::dec << "ull},";
     }
 }
 
