@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +22,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/json.h"
 #include "common/logging.h"
 #include "engine/registry.h"
 #include "engine/sweep.h"
@@ -691,6 +693,121 @@ TEST(WireCodec, SweepGridRoundTripsWithEqualFingerprint)
         "caller")};
     with_circuit.backends = {engine::backends::surgery_sim};
     EXPECT_THROW(wire::encodeSweepGrid(with_circuit), FatalError);
+}
+
+
+/** The request of CompileRequestRoundTripsEveryField: every field
+ *  off its default, both seeds above 2^53. */
+service::CompileRequest
+everyFieldRequest()
+{
+    service::CompileRequest req;
+    req.app = apps::AppKind::SHA1;
+    req.gen = {32, 7};
+    req.decompose.rz_sequence_length = 11;
+    req.decompose.rz_t_fraction = 0.25;
+    req.decompose.expand_swap = false;
+    req.run_peephole = false;
+    req.label = "round-trip";
+    req.backend = engine::backends::hybrid_mixed;
+    req.config.tech.p_physical = 1e-6;
+    req.config.tech.t_two_qubit_ns = 41.5;
+    req.config.tech.single_qubit_speedup = 3.25;
+    req.config.tech.t_measure_ns = 0.1 + 0.2;
+    req.config.code_distance = 17;
+    req.config.policy = 3;
+    req.config.epr_window_steps = 48;
+    req.config.epr_bandwidth = 5;
+    req.config.num_simd_regions = 6;
+    req.config.region_capacity = 96;
+    req.config.kq = 1e7;
+    req.config.fast_forward = false;
+    req.config.magic_production_cycles = 12;
+    req.config.magic_buffer_capacity = 7;
+    req.config.adapt_timeout = 6;
+    req.config.bfs_timeout = 10;
+    req.config.drop_timeout = 20;
+    req.config.max_cycles = 3'000'000'000ull;
+    req.config.hybrid_arbiter = 2;
+    req.config.layout_objective = 2;
+    req.config.lane_spacing = 3;
+    req.config.defect_density = 0.07;
+    req.config.defect_seed = (uint64_t{1} << 53) + 1;
+    req.config.defect_spec =
+        "{\"dead_tiles\": [[1, 2]], \"disabled_links\": "
+        "[[0, 0, 1, 0]]}";
+    req.config.seed = std::numeric_limits<uint64_t>::max();
+    return req;
+}
+
+// The codec bytes and grid fingerprints as released: a peer or a
+// resumed row stream written by an earlier build must still match.
+TEST(WireCodec, EncodedBytesArePinned)
+{
+    EXPECT_EQ(
+        wire::encodeCompileRequest(everyFieldRequest()),
+        R"({"app": "SHA-1","gen": {"problem_size": 32,"max_iterations": 7},)"
+        R"("decompose": {"rz_sequence_length": 11,"rz_t_fraction": 0.25,)"
+        R"("expand_swap": false},"run_peephole": false,)"
+        R"("label": "round-trip","backend": "hybrid/mixed-sim",)"
+        R"("config": {"tech": {"p_physical": 1e-06,"t_two_qubit_ns": 41.5,)"
+        R"("single_qubit_speedup": 3.25,)"
+        R"("t_measure_ns": 0.30000000000000004},"code_distance": 17,)"
+        R"("policy": 3,"epr_window_steps": 48,"epr_bandwidth": 5,)"
+        R"("num_simd_regions": 6,"region_capacity": 96,"kq": 1e+07,)"
+        R"("fast_forward": false,"magic_production_cycles": 12,)"
+        R"("magic_buffer_capacity": 7,"adapt_timeout": 6,)"
+        R"("bfs_timeout": 10,"drop_timeout": 20,)"
+        R"("max_cycles": 3000000000,"hybrid_arbiter": 2,)"
+        R"("layout_objective": 2,"lane_spacing": 3,)"
+        R"("defect_density": 0.07,"defect_seed": 9007199254740993,)"
+        R"("defect_spec": "{\"dead_tiles\": [[1, 2]], )"
+        R"(\"disabled_links\": [[0, 0, 1, 0]]}",)"
+        R"("seed": 18446744073709551615}})");
+
+    std::ostringstream os;
+    {
+        JsonWriter j(os, /*compact=*/true);
+        engine::writeRunConfig(j, engine::RunConfig{});
+    }
+    EXPECT_EQ(
+        os.str(),
+        R"({"tech": {"p_physical": 1e-05,"t_two_qubit_ns": 1e+02,)"
+        R"("single_qubit_speedup": 1e+01,"t_measure_ns": 1e+02},)"
+        R"("code_distance": 0,"policy": 6,"epr_window_steps": 32,)"
+        R"("epr_bandwidth": 0,"num_simd_regions": 4,)"
+        R"("region_capacity": 1024,"kq": 0,"fast_forward": true,)"
+        R"("magic_production_cycles": 0,"magic_buffer_capacity": 2,)"
+        R"("adapt_timeout": 4,"bfs_timeout": 8,"drop_timeout": 16,)"
+        R"("max_cycles": 100000000,"hybrid_arbiter": 0,)"
+        R"("layout_objective": 0,"lane_spacing": 4,)"
+        R"("defect_density": 0,"defect_seed": 0,"seed": 1})");
+
+    // The grid of SweepGridRoundTripsWithEqualFingerprint.
+    engine::SweepGrid grid;
+    grid.apps = {{apps::AppKind::SQ, {8, 2}, ""},
+                 {apps::AppKind::GSE, {16, 3}, "labelled"}};
+    grid.backends = {engine::backends::surgery_sim,
+                     engine::backends::planar};
+    grid.policies = {2, 6};
+    grid.arbiters = {0, 1};
+    grid.layout_objectives = {0, 2};
+    grid.distances = {3, 5};
+    grid.epr_windows = {-1, 32};
+    grid.sizes = {0, 1e6};
+    grid.defects = {0, 0.04, 0.08};
+    grid.base.seed = 77;
+    grid.base.code_distance = 7;
+    grid.base.tech.p_physical = 1e-5;
+    grid.base.defect_seed = 13;
+    grid.base.defect_spec = "{\"dead_tiles\": [[0, 1]]}";
+    EXPECT_EQ(engine::sweepGridFingerprint(grid),
+              0xe929cb456d37c07full);
+
+    engine::SweepGrid one;
+    one.apps = {{apps::AppKind::SQ}};
+    one.backends = {engine::backends::double_defect};
+    EXPECT_EQ(engine::sweepGridFingerprint(one), 0x32359a79a10a84e4ull);
 }
 
 } // namespace
