@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "circuit/circuit.h"
+#include "common/fields.h"
 
 namespace qsurf::apps {
 
@@ -64,6 +65,16 @@ struct GenOptions
      */
     int max_iterations = 0;
 };
+
+/** The field list of GenOptions (see common/fields.h). */
+template <FieldsOf<GenOptions> T, typename Visit>
+void
+forEachField(T &g, Visit &&visit)
+{
+    auto &[problem_size, max_iterations] = g;
+    visit("problem_size", problem_size);
+    visit("max_iterations", max_iterations);
+}
 
 /** Generate the logical circuit for @p kind. */
 circuit::Circuit generate(AppKind kind, const GenOptions &opts = {});

@@ -15,6 +15,7 @@
 #define QSURF_CIRCUIT_DECOMPOSE_H
 
 #include "circuit/circuit.h"
+#include "common/fields.h"
 
 namespace qsurf::circuit {
 
@@ -35,6 +36,17 @@ struct DecomposeConfig
     /** Expand Swap into 3 CNOTs (backends treat Swap natively if not). */
     bool expand_swap = true;
 };
+
+/** The field list of DecomposeConfig (see common/fields.h). */
+template <FieldsOf<DecomposeConfig> T, typename Visit>
+void
+forEachField(T &d, Visit &&visit)
+{
+    auto &[rz_sequence_length, rz_t_fraction, expand_swap] = d;
+    visit("rz_sequence_length", rz_sequence_length);
+    visit("rz_t_fraction", rz_t_fraction);
+    visit("expand_swap", expand_swap);
+}
 
 /**
  * @return a new circuit in which every Toffoli, Rz (and optionally

@@ -226,7 +226,7 @@ JsonWriter::null()
 // --------------------------------------------------------------- parser
 
 const JsonValue *
-JsonValue::find(const std::string &key) const
+JsonValue::find(std::string_view key) const
 {
     if (kind != Kind::Object)
         return nullptr;
@@ -237,6 +237,27 @@ JsonValue::find(const std::string &key) const
         if (name == key)
             found = &value;
     return found;
+}
+
+const JsonValue &
+JsonValue::member(std::string_view key, std::string_view context) const
+{
+    const JsonValue *v = find(key);
+    if (!v)
+        fatal(context, " '", key, "' is missing");
+    return *v;
+}
+
+void
+JsonValue::expect(Kind want, std::string_view context,
+                  std::string_view name) const
+{
+    if (kind == want)
+        return;
+    static constexpr const char *kNames[] = {
+        "null", "a bool", "a number", "a string", "an array", "an object"};
+    fatal(context, " '", name, "' is not ",
+          kNames[static_cast<int>(want)]);
 }
 
 int

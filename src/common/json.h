@@ -16,6 +16,7 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -132,7 +133,17 @@ struct JsonValue
 
     /** @return the member named @p key, or null when absent (or when
      *  this is not an object). */
-    const JsonValue *find(const std::string &key) const;
+    const JsonValue *find(std::string_view key) const;
+
+    /** @return the member named @p key; fatal()s, naming it
+     *  "@p context '@p key'", when it is absent. */
+    const JsonValue &member(std::string_view key,
+                           std::string_view context) const;
+
+    /** fatal()s, naming this value "@p context '@p name'", unless it
+     *  is of kind @p want. */
+    void expect(Kind want, std::string_view context,
+                std::string_view name) const;
 
     /** @return this number as an int.  fatal()s, naming the value
      *  "@p context '@p name'", unless it is a number with an
@@ -148,6 +159,51 @@ struct JsonValue
      *  cast. */
     uint64_t toUint(std::string_view context,
                     std::string_view name) const;
+
+    /** @return this value as a T: a double, bool or std::string of
+     *  that kind, or an int / uint64_t read as toInt() / toUint() do.
+     *  fatal()s, naming the value as expect() does, on another kind. */
+    template <typename T>
+    T
+    as(std::string_view context, std::string_view name) const
+    {
+        if constexpr (std::is_same_v<T, int>) {
+            return toInt(context, name);
+        } else if constexpr (std::is_same_v<T, uint64_t>) {
+            return toUint(context, name);
+        } else if constexpr (std::is_same_v<T, double>) {
+            expect(Kind::Number, context, name);
+            return num;
+        } else if constexpr (std::is_same_v<T, bool>) {
+            expect(Kind::Bool, context, name);
+            return boolean;
+        } else {
+            static_assert(std::is_same_v<T, std::string>,
+                          "no JSON reading of this type");
+            expect(Kind::String, context, name);
+            return str;
+        }
+    }
+
+    /** @return member @p key as a T (see as()), or @p fallback when
+     *  it is absent. */
+    template <typename T>
+    T
+    get(std::string_view key, std::type_identity_t<T> fallback,
+        std::string_view context) const
+    {
+        const JsonValue *v = find(key);
+        return v ? v->as<T>(context, key) : fallback;
+    }
+
+    /** @return member @p key as a T (see as()); fatal()s when it is
+     *  absent. */
+    template <typename T>
+    T
+    require(std::string_view key, std::string_view context) const
+    {
+        return member(key, context).as<T>(context, key);
+    }
 };
 
 /**

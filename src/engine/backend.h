@@ -30,13 +30,10 @@
 
 #include "apps/apps.h"
 #include "circuit/circuit.h"
+#include "common/fields.h"
 #include "fabric/defect.h"
 #include "qec/code.h"
 #include "qec/technology.h"
-
-namespace qsurf {
-class JsonWriter;
-} // namespace qsurf
 
 namespace qsurf::obs {
 class TraceRecorder;
@@ -239,6 +236,44 @@ struct RunConfig
     obs::TraceRecorder *trace = nullptr;
 };
 
+/** The field list of RunConfig (see common/fields.h): every field a
+ *  result depends on, which is every field but `trace`. */
+template <FieldsOf<RunConfig> C, typename Visit>
+void
+forEachField(C &c, Visit &&visit)
+{
+    auto &[tech, code_distance, policy, epr_window_steps,
+           epr_bandwidth, num_simd_regions, region_capacity, kq,
+           fast_forward, magic_production_cycles,
+           magic_buffer_capacity, adapt_timeout, bfs_timeout,
+           drop_timeout, max_cycles, hybrid_arbiter, layout_objective,
+           lane_spacing, defect_density, defect_seed, defect_spec,
+           seed, trace] = c;
+    (void)trace; // An observation channel, never an input.
+    visit("tech", tech);
+    visit("code_distance", code_distance);
+    visit("policy", policy);
+    visit("epr_window_steps", epr_window_steps);
+    visit("epr_bandwidth", epr_bandwidth);
+    visit("num_simd_regions", num_simd_regions);
+    visit("region_capacity", region_capacity);
+    visit("kq", kq);
+    visit("fast_forward", fast_forward);
+    visit("magic_production_cycles", magic_production_cycles);
+    visit("magic_buffer_capacity", magic_buffer_capacity);
+    visit("adapt_timeout", adapt_timeout);
+    visit("bfs_timeout", bfs_timeout);
+    visit("drop_timeout", drop_timeout);
+    visit("max_cycles", max_cycles);
+    visit("hybrid_arbiter", hybrid_arbiter);
+    visit("layout_objective", layout_objective);
+    visit("lane_spacing", lane_spacing);
+    visit("defect_density", defect_density);
+    visit("defect_seed", defect_seed);
+    visit("defect_spec", defect_spec);
+    visit("seed", seed);
+}
+
 struct LoopOptions;
 
 /**
@@ -251,12 +286,18 @@ struct LoopOptions;
 LoopOptions loopOptions(const RunConfig &c, int code_distance);
 
 /**
- * Write @p c as one JSON object (the caller emits any key): every
- * field a result depends on, which is every field but `trace`.  The
- * wire codec (CompileRequest and SweepGrid payloads) and the compile
- * service's result-memo key both write a config through it, so a new
- * field is added here once; the codec's reader (service/wire.cc)
- * parses the same names back.
+ * fatal()s on a config no scheduling loop can finish: factories that
+ * distill states (magic_production_cycles > 0) but can buffer none
+ * would leave every T gate waiting until max_cycles.  The prepare()
+ * of every backend that runs the loop calls it.
+ */
+void checkLoopConfig(const RunConfig &c);
+
+/**
+ * Write @p c as one JSON object (the caller emits any key) through
+ * its field list.  A new RunConfig field is added to the struct and
+ * to forEachField above, and nowhere else: the wire codec, the grid
+ * fingerprint and the compile service's result key all walk the list.
  */
 void writeRunConfig(JsonWriter &j, const RunConfig &c);
 

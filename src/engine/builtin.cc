@@ -74,6 +74,7 @@ class DoubleDefectBackend : public Backend
     prepare(const WorkItem &item) const override
     {
         Backend::prepare(item);
+        checkLoopConfig(item.config);
         fatalIf(item.config.policy < 0
                     || item.config.policy >= braid::num_policies,
                 "braid policy must be in [0, ", braid::num_policies,

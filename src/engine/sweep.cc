@@ -25,67 +25,6 @@ namespace {
 constexpr const char *kRowsStreamName = "qsurf-sweep-rows";
 constexpr int kRowsStreamVersion = 1;
 
-qec::CodeKind
-parseCodeKind(const std::string &name)
-{
-    for (qec::CodeKind kind :
-         {qec::CodeKind::Planar, qec::CodeKind::DoubleDefect})
-        if (name == qec::codeKindName(kind))
-            return kind;
-    fatal("unknown code kind '", name, "' in sweep row");
-}
-
-double
-numberField(const JsonValue &row, const std::string &key,
-            bool required = true, double fallback = 0)
-{
-    const JsonValue *v = row.find(key);
-    if (!v) {
-        fatalIf(required, "sweep row is missing '", key, "'");
-        return fallback;
-    }
-    fatalIf(!v->isNumber(), "sweep row field '", key,
-            "' is not a number");
-    return v->num;
-}
-
-/** An int field read exactly: a fractional or out-of-range value
- *  is a FatalError, never a cast. */
-int
-intField(const JsonValue &row, const std::string &key,
-         bool required = true, int fallback = 0)
-{
-    const JsonValue *v = row.find(key);
-    if (!v) {
-        fatalIf(required, "sweep row is missing '", key, "'");
-        return fallback;
-    }
-    return v->toInt("sweep row field", key);
-}
-
-/** An index, cycle count or counter, read exactly (see
- *  JsonValue::toUint); 0 when optional and absent. */
-uint64_t
-countField(const JsonValue &row, const std::string &key,
-           bool required = true)
-{
-    const JsonValue *v = row.find(key);
-    if (!v) {
-        fatalIf(required, "sweep row is missing '", key, "'");
-        return 0;
-    }
-    return v->toUint("sweep row field", key);
-}
-
-std::string
-stringField(const JsonValue &row, const std::string &key)
-{
-    const JsonValue *v = row.find(key);
-    fatalIf(!v || !v->isString(), "sweep row is missing string '",
-            key, "'");
-    return v->str;
-}
-
 /** The rows path the options resolve to, or "" when streaming is
  *  off. */
 std::string
@@ -100,40 +39,15 @@ resolveRowsPath(const SweepOptions &opts)
     return {};
 }
 
-void
-hashCombine(uint64_t &h, const void *data, size_t len)
-{
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < len; ++i) {
-        h ^= p[i];
-        h *= 0x100000001b3ull; // FNV-1a.
-    }
-}
-
-template <typename T>
-void
-hashValue(uint64_t &h, const T &v)
-{
-    hashCombine(h, &v, sizeof(v));
-}
-
-void
-hashString(uint64_t &h, const std::string &s)
-{
-    uint64_t len = s.size();
-    hashValue(h, len);
-    hashCombine(h, s.data(), s.size());
-}
-
 } // namespace
 
 size_t
 SweepGrid::points() const
 {
-    return apps.size() * sizes.size() * distances.size()
-        * policies.size() * arbiters.size()
-        * layout_objectives.size() * epr_windows.size()
-        * defects.size() * backends.size();
+    size_t n = apps.size() * backends.size();
+    forEachAxis(*this,
+                [&](const char *, const auto &axis) { n *= axis.size(); });
+    return n;
 }
 
 uint64_t
@@ -141,56 +55,17 @@ sweepGridFingerprint(const SweepGrid &grid)
 {
     uint64_t h = 0xcbf29ce484222325ull;
     for (const AppPoint &app : grid.apps) {
-        hashValue(h, app.kind);
-        hashValue(h, app.gen.problem_size);
-        hashValue(h, app.gen.max_iterations);
-        hashString(h, app.label);
-        uint64_t fp =
-            app.circuit ? circuit::fingerprint(*app.circuit) : 0;
-        hashValue(h, fp);
+        fields::hash(h, app.kind);
+        fields::hash(h, app.gen);
+        fields::hash(h, app.label);
+        fields::hash(h, app.circuit ? circuit::fingerprint(*app.circuit)
+                                    : uint64_t{0});
     }
-    for (const std::string &b : grid.backends)
-        hashString(h, b);
-    for (int v : grid.policies)
-        hashValue(h, v);
-    for (int v : grid.arbiters)
-        hashValue(h, v);
-    for (int v : grid.layout_objectives)
-        hashValue(h, v);
-    for (int v : grid.epr_windows)
-        hashValue(h, v);
-    for (int v : grid.distances)
-        hashValue(h, v);
-    for (double v : grid.sizes)
-        hashValue(h, v);
-    for (double v : grid.defects)
-        hashValue(h, v);
-    const RunConfig &c = grid.base;
-    hashValue(h, c.tech.p_physical);
-    hashValue(h, c.tech.t_two_qubit_ns);
-    hashValue(h, c.tech.single_qubit_speedup);
-    hashValue(h, c.tech.t_measure_ns);
-    hashValue(h, c.code_distance);
-    hashValue(h, c.policy);
-    hashValue(h, c.epr_window_steps);
-    hashValue(h, c.epr_bandwidth);
-    hashValue(h, c.num_simd_regions);
-    hashValue(h, c.region_capacity);
-    hashValue(h, c.kq);
-    hashValue(h, c.fast_forward);
-    hashValue(h, c.magic_production_cycles);
-    hashValue(h, c.magic_buffer_capacity);
-    hashValue(h, c.adapt_timeout);
-    hashValue(h, c.bfs_timeout);
-    hashValue(h, c.drop_timeout);
-    hashValue(h, c.max_cycles);
-    hashValue(h, c.hybrid_arbiter);
-    hashValue(h, c.layout_objective);
-    hashValue(h, c.lane_spacing);
-    hashValue(h, c.defect_density);
-    hashValue(h, c.defect_seed);
-    hashString(h, c.defect_spec);
-    hashValue(h, c.seed);
+    fields::hash(h, grid.backends);
+    forEachAxis(grid, [&](const char *, const auto &axis) {
+        fields::hash(h, axis);
+    });
+    fields::hash(h, grid.base);
     return h;
 }
 
@@ -204,12 +79,10 @@ expandPoints(const SweepGrid &grid, const Registry &registry,
     fatalIf(grid.apps.empty(), "sweep grid needs at least one app");
     fatalIf(grid.backends.empty(),
             "sweep grid needs at least one backend");
-    fatalIf(grid.policies.empty() || grid.arbiters.empty()
-                || grid.layout_objectives.empty()
-                || grid.epr_windows.empty()
-                || grid.distances.empty() || grid.sizes.empty()
-                || grid.defects.empty(),
-            "sweep grid axes must be non-empty");
+    forEachAxis(grid, [](const char *name, const auto &axis) {
+        fatalIf(axis.empty(), "sweep grid axis '", name,
+                "' must be non-empty");
+    });
     grid.base.tech.check();
 
     // Resolve backends up front so name typos fail before any work.
@@ -618,43 +491,42 @@ writeSweepRowLine(std::ostream &os, const SweepPoint &p)
 SweepPoint
 parseSweepRowLine(const std::string &line)
 {
+    constexpr std::string_view kRow = "sweep row field";
     JsonValue doc = parseJson(line);
     fatalIf(!doc.isObject(), "sweep row line is not an object");
     SweepPoint p;
-    p.index = countField(doc, "index");
-    const JsonValue *row = doc.find("row");
-    fatalIf(!row || !row->isObject(),
-            "sweep row line is missing the 'row' object");
-    p.app_name = stringField(*row, "app");
-    p.backend = stringField(*row, "backend");
+    p.index = doc.require<uint64_t>("index", kRow);
+    const JsonValue &row = doc.member("row", kRow);
+    row.expect(JsonValue::Kind::Object, kRow, "row");
+    p.app_name = row.require<std::string>("app", kRow);
+    p.backend = row.require<std::string>("backend", kRow);
     p.metrics.backend = p.backend;
-    p.metrics.code = parseCodeKind(stringField(*row, "code"));
-    p.policy = intField(*row, "policy");
-    p.arbiter = intField(*row, "arbiter");
-    p.layout_objective = intField(*row, "layout_objective");
-    p.epr_window = intField(*row, "epr_window", false, -1);
-    p.metrics.code_distance = intField(*row, "code_distance");
-    p.kq = numberField(*row, "kq", false, 0);
-    p.defect = numberField(*row, "defect", false, 0);
-    p.metrics.schedule_cycles = countField(*row, "schedule_cycles");
+    p.metrics.code =
+        qec::parseCodeKind(row.require<std::string>("code", kRow));
+    p.policy = row.require<int>("policy", kRow);
+    p.arbiter = row.require<int>("arbiter", kRow);
+    p.layout_objective = row.require<int>("layout_objective", kRow);
+    p.epr_window = row.get<int>("epr_window", -1, kRow);
+    p.metrics.code_distance = row.require<int>("code_distance", kRow);
+    p.kq = row.get<double>("kq", 0, kRow);
+    p.defect = row.get<double>("defect", 0, kRow);
+    p.metrics.schedule_cycles =
+        row.require<uint64_t>("schedule_cycles", kRow);
     p.metrics.critical_path_cycles =
-        countField(*row, "critical_path_cycles");
+        row.require<uint64_t>("critical_path_cycles", kRow);
     p.metrics.physical_qubits =
-        numberField(*row, "physical_qubits");
-    p.metrics.seconds = numberField(*row, "seconds");
-    p.wall_ms = numberField(*row, "wall_ms", false, 0);
-    p.prepare_ms = numberField(*row, "prepare_ms", false, 0);
-    p.arena_allocs = countField(*row, "arena_allocs", false);
-    p.arena_bytes = countField(*row, "arena_bytes", false);
-    p.heap_allocs = countField(*row, "heap_allocs", false);
-    if (const JsonValue *extras = row->find("extras")) {
-        fatalIf(!extras->isObject(),
-                "sweep row 'extras' is not an object");
-        for (const auto &[name, v] : extras->members) {
-            fatalIf(!v.isNumber(), "sweep row extra '", name,
-                    "' is not a number");
-            p.metrics.extras.emplace_back(name, v.num);
-        }
+        row.require<double>("physical_qubits", kRow);
+    p.metrics.seconds = row.require<double>("seconds", kRow);
+    p.wall_ms = row.get<double>("wall_ms", 0, kRow);
+    p.prepare_ms = row.get<double>("prepare_ms", 0, kRow);
+    p.arena_allocs = row.get<uint64_t>("arena_allocs", 0, kRow);
+    p.arena_bytes = row.get<uint64_t>("arena_bytes", 0, kRow);
+    p.heap_allocs = row.get<uint64_t>("heap_allocs", 0, kRow);
+    if (const JsonValue *extras = row.find("extras")) {
+        extras->expect(JsonValue::Kind::Object, kRow, "extras");
+        for (const auto &[name, v] : extras->members)
+            p.metrics.extras.emplace_back(
+                name, v.as<double>("sweep row extra", name));
     }
     return p;
 }
@@ -701,17 +573,15 @@ loadSweepRows(const std::string &path, const SweepGrid &grid,
         return 0;
     // Header check: never merge rows from a different experiment.
     try {
+        constexpr std::string_view kHeader = "row stream header field";
         JsonValue header = parseJson(line);
-        const JsonValue *stream = header.find("stream");
-        const JsonValue *fp = header.find("grid_fingerprint");
-        const JsonValue *n = header.find("points");
-        const JsonValue *t = header.find("title");
-        if (!stream || !stream->isString()
-            || stream->str != kRowsStreamName || !fp
-            || fp->exact_uint != sweepGridFingerprint(grid)
-            || !n || !n->isNumber()
-            || n->num != static_cast<double>(grid.points()) || !t
-            || !t->isString() || t->str != title) {
+        if (header.require<std::string>("stream", kHeader)
+                != kRowsStreamName
+            || header.require<uint64_t>("grid_fingerprint", kHeader)
+                != sweepGridFingerprint(grid)
+            || header.require<uint64_t>("points", kHeader)
+                != grid.points()
+            || header.require<std::string>("title", kHeader) != title) {
             warn("row stream '", path,
                  "' does not match this sweep; running fresh");
             return 0;

@@ -131,6 +131,31 @@ struct SweepGrid
     size_t points() const;
 };
 
+/**
+ * The axis list of SweepGrid (see common/fields.h): calls visit(name,
+ * axis) per numeric axis, in fingerprint order (epr_windows before
+ * distances).  The binding names every member of SweepGrid.
+ */
+template <FieldsOf<SweepGrid> G, typename Visit>
+void
+forEachAxis(G &grid, Visit &&visit)
+{
+    auto &[apps, backends, policies, arbiters, layout_objectives,
+           distances, epr_windows, sizes, defects, base] = grid;
+    // Not numeric axes: the codec and the fingerprint handle these
+    // three apart.
+    (void)apps;
+    (void)backends;
+    (void)base;
+    visit("policies", policies);
+    visit("arbiters", arbiters);
+    visit("layout_objectives", layout_objectives);
+    visit("epr_windows", epr_windows);
+    visit("distances", distances);
+    visit("sizes", sizes);
+    visit("defects", defects);
+}
+
 /** One executed grid point, in expansion order. */
 struct SweepPoint
 {

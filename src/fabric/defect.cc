@@ -232,13 +232,13 @@ DefectMap::generate(int w, int h, double density, uint64_t seed)
 DefectMap
 DefectMap::fromSpec(const std::string &json, int w, int h)
 {
+    constexpr std::string_view kSpec = "defect spec field";
     DefectMap map(w, h);
     JsonValue doc = parseJson(json);
     fatalIf(!doc.isObject(), "defect spec is not a JSON object");
 
     if (const JsonValue *tiles = doc.find("dead_tiles")) {
-        fatalIf(!tiles->isArray(),
-                "defect spec 'dead_tiles' is not an array");
+        tiles->expect(JsonValue::Kind::Array, kSpec, "dead_tiles");
         for (const JsonValue &t : tiles->items) {
             fatalIf(!t.isArray() || t.items.size() != 2,
                     "defect spec dead tile is not an [x, y] pair");
@@ -247,8 +247,7 @@ DefectMap::fromSpec(const std::string &json, int w, int h)
         }
     }
     if (const JsonValue *links = doc.find("disabled_links")) {
-        fatalIf(!links->isArray(),
-                "defect spec 'disabled_links' is not an array");
+        links->expect(JsonValue::Kind::Array, kSpec, "disabled_links");
         for (const JsonValue &l : links->items) {
             fatalIf(!l.isArray() || l.items.size() != 4,
                     "defect spec link is not an [x1,y1,x2,y2] tuple");
@@ -259,21 +258,14 @@ DefectMap::fromSpec(const std::string &json, int w, int h)
         }
     }
     if (const JsonValue *regions = doc.find("regions")) {
-        fatalIf(!regions->isArray(),
-                "defect spec 'regions' is not an array");
+        regions->expect(JsonValue::Kind::Array, kSpec, "regions");
         for (const JsonValue &r : regions->items) {
-            fatalIf(!r.isObject(),
-                    "defect spec region is not an object");
-            auto coord = [&](const char *key) {
-                const JsonValue *v = r.find(key);
-                fatalIf(!v, "defect spec region has no '", key, "'");
-                return v->toInt("defect spec region", key);
-            };
-            const JsonValue *mult = r.find("multiplier");
-            fatalIf(!mult || !mult->isNumber(),
-                    "defect spec region has no numeric 'multiplier'");
-            map.addRegion({coord("x0"), coord("y0"), coord("x1"),
-                           coord("y1"), mult->num});
+            r.expect(JsonValue::Kind::Object, kSpec, "regions");
+            map.addRegion({r.require<int>("x0", kSpec),
+                           r.require<int>("y0", kSpec),
+                           r.require<int>("x1", kSpec),
+                           r.require<int>("y1", kSpec),
+                           r.require<double>("multiplier", kSpec)});
         }
     }
     map.buildPrefix();

@@ -75,6 +75,7 @@ class PatchSimBackend : public engine::Backend
     prepare(const engine::WorkItem &item) const override
     {
         Backend::prepare(item);
+        engine::checkLoopConfig(item.config);
         partition::LayoutObjective objective =
             partition::layoutObjective(item.config.layout_objective);
         fatalIf(objective == partition::LayoutObjective::CorridorLanes

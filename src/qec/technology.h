@@ -11,6 +11,8 @@
 #ifndef QSURF_QEC_TECHNOLOGY_H
 #define QSURF_QEC_TECHNOLOGY_H
 
+#include "common/fields.h"
+
 namespace qsurf::qec {
 
 /** Physical device characteristics fed into the backend (Figure 4). */
@@ -51,6 +53,19 @@ struct Technology
     /** Validate ranges; fatal() on nonsense (negative times etc.). */
     void check() const;
 };
+
+/** The field list of Technology (see common/fields.h). */
+template <FieldsOf<Technology> T, typename Visit>
+void
+forEachField(T &t, Visit &&visit)
+{
+    auto &[p_physical, t_two_qubit_ns, single_qubit_speedup,
+           t_measure_ns] = t;
+    visit("p_physical", p_physical);
+    visit("t_two_qubit_ns", t_two_qubit_ns);
+    visit("single_qubit_speedup", single_qubit_speedup);
+    visit("t_measure_ns", t_measure_ns);
+}
 
 /** Paper-named technology design points for the sensitivity sweep. */
 namespace tech_points {

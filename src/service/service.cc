@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "common/arena.h"
-#include "common/json.h"
+#include "common/fields.h"
 #include "common/logging.h"
 #include "engine/sweep.h"
 #include "service/artifact.h"
@@ -37,16 +37,12 @@ resultKey(const CompileRequest &req)
         j.field("fp", circuit::fingerprint(*req.circuit));
     } else {
         j.field("app", static_cast<int>(req.app));
-        j.field("n", req.gen.problem_size);
-        j.field("it", req.gen.max_iterations);
+        fields::writeMember(j, "gen", req.gen);
     }
-    j.field("rz", req.decompose.rz_sequence_length);
-    j.field("tf", req.decompose.rz_t_fraction);
-    j.field("sw", req.decompose.expand_swap);
+    fields::writeMember(j, "decompose", req.decompose);
     j.field("ph", req.run_peephole);
     j.field("backend", req.backend);
-    j.key("config");
-    engine::writeRunConfig(j, req.config);
+    fields::writeMember(j, "config", req.config);
     j.endObject();
     std::string key = os.str();
     // JSON writes every non-finite double as null, so a key holding

@@ -110,7 +110,8 @@ struct ServiceStats
  * @return the result-memo key of @p req: the program identity (app
  * and generator knobs, or the caller circuit's fingerprint), the
  * decompose and peephole settings, the backend name and every
- * RunConfig field but `trace` (engine::writeRunConfig).  The label is
+ * RunConfig field but `trace`, each written through its field list
+ * (common/fields.h), as the wire codec writes it.  The label is
  * left out: no backend reads the display name.  "" when the request
  * holds a non-finite number, which JSON cannot carry exactly; such a
  * request is not memoized.

@@ -214,43 +214,40 @@ serveSweepWorker(int fd, const SweepWorkerEnv &env)
             return false;
         }
         try {
+            constexpr std::string_view kAssign = "ShardAssign";
             JsonValue doc = parseJson(frame.payload);
             if (!grid) {
-                const JsonValue *g = doc.find("grid");
-                fatalIf(!g || !g->isString(),
-                        "ShardAssign carries no grid and none was "
-                        "inherited");
-                decoded = wire::decodeSweepGrid(g->str);
+                // A forked worker inherits its grid; a remote one
+                // gets it here.
+                decoded = wire::decodeSweepGrid(
+                    doc.require<std::string>("grid", kAssign));
                 grid = &decoded;
                 grid_fp = engine::sweepGridFingerprint(decoded);
             }
-            const JsonValue *points = doc.find("points");
-            const JsonValue *indices = doc.find("indices");
-            fatalIf(!points || !indices || !indices->isArray(),
-                    "malformed ShardAssign payload");
             // Everything below is sized by this worker's own grid,
             // never by a number off the wire.
             size_t total = grid->points();
-            uint64_t claimed = points->toUint("ShardAssign", "points");
+            uint64_t claimed = doc.require<uint64_t>("points", kAssign);
             fatalIf(claimed != total, "ShardAssign counts ", claimed,
                     " points; this worker's grid has ", total);
+            const JsonValue &indices = doc.member("indices", kAssign);
+            indices.expect(JsonValue::Kind::Array, kAssign, "indices");
             // A repeated index runs once.
             selected.assign(total, 0);
-            for (const JsonValue &iv : indices->items) {
-                uint64_t i = iv.toUint("ShardAssign", "index");
+            for (const JsonValue &iv : indices.items) {
+                uint64_t i = iv.toUint(kAssign, "index");
                 fatalIf(i >= total, "ShardAssign names index ", i,
                         ", outside this worker's ", total,
                         "-point grid");
                 selected[i] = 1;
             }
-            const JsonValue *id_field = doc.find("id");
-            id = id_field ? id_field->toUint("ShardAssign", "id") : 0;
+            id = doc.get<uint64_t>("id", 0, kAssign);
             // The assignment names what it believes this worker is
             // running; a mismatch means the processes disagree about
             // the experiment (codec drift, stale remote binary).
             const JsonValue *fp = doc.find("grid_fingerprint");
             fatalIf(fp
-                        && fp->toUint("ShardAssign", "grid_fingerprint")
+                        && fp->toUint(kAssign, "grid_fingerprint")
                             != grid_fp,
                     "ShardAssign grid fingerprint does not match "
                     "this worker's grid");
@@ -513,10 +510,8 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
             wire::IoResult r = wire::readFrame(cfd, hello);
             fatalIf(!r.ok() || hello.type != wire::FrameType::Hello,
                     "tcp worker connected without a Hello");
-            JsonValue doc = parseJson(hello.payload);
-            const JsonValue *slot = doc.find("slot");
-            fatalIf(!slot, "tcp worker Hello names no slot");
-            int s = slot->toInt("tcp worker Hello", "slot");
+            int s = parseJson(hello.payload)
+                        .require<int>("slot", "tcp worker Hello");
             fatalIf(s < 0 || static_cast<size_t>(s) >= n_local
                         || fleet[static_cast<size_t>(s)].fd >= 0,
                     "tcp worker Hello names bogus slot ", s);
@@ -927,11 +922,9 @@ runShardedSweep(const SweepGrid &grid, const ShardOptions &opts,
                   case wire::FrameType::Error: {
                     std::string msg = frame.payload;
                     try {
-                        JsonValue doc = parseJson(frame.payload);
-                        if (const JsonValue *e =
-                                doc.find("error"))
-                            if (e->isString())
-                                msg = e->str;
+                        msg = parseJson(frame.payload)
+                                  .get<std::string>("error", msg,
+                                                    "worker Error");
                     } catch (const FatalError &) {
                     }
                     markDead(w, "failed: " + msg);

@@ -15,7 +15,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "common/json.h"
+#include "common/fields.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 
@@ -165,113 +165,8 @@ parseAppKind(const std::string &name)
     fatal("unknown app '", name, "' in wire request");
 }
 
-qec::CodeKind
-parseCodeKind(const std::string &name)
-{
-    for (qec::CodeKind kind :
-         {qec::CodeKind::Planar, qec::CodeKind::DoubleDefect})
-        if (name == qec::codeKindName(kind))
-            return kind;
-    fatal("unknown code kind '", name, "' in wire response");
-}
-
-double
-num(const JsonValue &obj, const std::string &key, double fallback)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v)
-        return fallback;
-    fatalIf(!v->isNumber(), "wire field '", key,
-            "' is not a number");
-    return v->num;
-}
-
-int
-integer(const JsonValue &obj, const std::string &key, int fallback)
-{
-    const JsonValue *v = obj.find(key);
-    return v ? v->toInt("wire field", key) : fallback;
-}
-
-/** @return unsigned 64-bit field @p key exactly (seeds, cycle
- *  counts; see JsonValue::toUint), or @p fallback when absent. */
-uint64_t
-count(const JsonValue &obj, const std::string &key, uint64_t fallback)
-{
-    const JsonValue *v = obj.find(key);
-    return v ? v->toUint("wire field", key) : fallback;
-}
-
-bool
-flag(const JsonValue &obj, const std::string &key, bool fallback)
-{
-    const JsonValue *v = obj.find(key);
-    if (!v)
-        return fallback;
-    fatalIf(!v->isBool(), "wire field '", key, "' is not a bool");
-    return v->boolean;
-}
-
-std::string
-text(const JsonValue &obj, const std::string &key,
-     const std::string &fallback = {})
-{
-    const JsonValue *v = obj.find(key);
-    if (!v)
-        return fallback;
-    fatalIf(!v->isString(), "wire field '", key,
-            "' is not a string");
-    return v->str;
-}
-
-/** Parse an engine::writeRunConfig object into @p c (absent fields
- *  keep their current values). */
-void
-readRunConfig(const JsonValue &cfg, engine::RunConfig &c)
-{
-    fatalIf(!cfg.isObject(), "wire 'config' is not an object");
-    if (const JsonValue *tech = cfg.find("tech")) {
-        fatalIf(!tech->isObject(), "wire 'tech' is not an object");
-        c.tech.p_physical =
-            num(*tech, "p_physical", c.tech.p_physical);
-        c.tech.t_two_qubit_ns =
-            num(*tech, "t_two_qubit_ns", c.tech.t_two_qubit_ns);
-        c.tech.single_qubit_speedup =
-            num(*tech, "single_qubit_speedup",
-                c.tech.single_qubit_speedup);
-        c.tech.t_measure_ns =
-            num(*tech, "t_measure_ns", c.tech.t_measure_ns);
-    }
-    c.code_distance = integer(cfg, "code_distance", c.code_distance);
-    c.policy = integer(cfg, "policy", c.policy);
-    c.epr_window_steps =
-        integer(cfg, "epr_window_steps", c.epr_window_steps);
-    c.epr_bandwidth = integer(cfg, "epr_bandwidth", c.epr_bandwidth);
-    c.num_simd_regions =
-        integer(cfg, "num_simd_regions", c.num_simd_regions);
-    c.region_capacity =
-        integer(cfg, "region_capacity", c.region_capacity);
-    c.kq = num(cfg, "kq", c.kq);
-    c.fast_forward = flag(cfg, "fast_forward", c.fast_forward);
-    c.magic_production_cycles = integer(
-        cfg, "magic_production_cycles", c.magic_production_cycles);
-    c.magic_buffer_capacity = integer(cfg, "magic_buffer_capacity",
-                                      c.magic_buffer_capacity);
-    c.adapt_timeout = integer(cfg, "adapt_timeout", c.adapt_timeout);
-    c.bfs_timeout = integer(cfg, "bfs_timeout", c.bfs_timeout);
-    c.drop_timeout = integer(cfg, "drop_timeout", c.drop_timeout);
-    c.max_cycles = count(cfg, "max_cycles", c.max_cycles);
-    c.hybrid_arbiter =
-        integer(cfg, "hybrid_arbiter", c.hybrid_arbiter);
-    c.layout_objective =
-        integer(cfg, "layout_objective", c.layout_objective);
-    c.lane_spacing = integer(cfg, "lane_spacing", c.lane_spacing);
-    c.defect_density =
-        num(cfg, "defect_density", c.defect_density);
-    c.defect_seed = count(cfg, "defect_seed", c.defect_seed);
-    c.defect_spec = text(cfg, "defect_spec", c.defect_spec);
-    c.seed = count(cfg, "seed", c.seed);
-}
+/** How the codec names a wire value in its errors. */
+constexpr std::string_view kWire = "wire field";
 
 } // namespace
 
@@ -472,22 +367,12 @@ encodeCompileRequest(const CompileRequest &req)
     JsonWriter j(os, /*compact=*/true);
     j.beginObject();
     j.field("app", apps::appSpec(req.app).name);
-    j.key("gen");
-    j.beginObject();
-    j.field("problem_size", req.gen.problem_size);
-    j.field("max_iterations", req.gen.max_iterations);
-    j.endObject();
-    j.key("decompose");
-    j.beginObject();
-    j.field("rz_sequence_length", req.decompose.rz_sequence_length);
-    j.field("rz_t_fraction", req.decompose.rz_t_fraction);
-    j.field("expand_swap", req.decompose.expand_swap);
-    j.endObject();
+    fields::writeMember(j, "gen", req.gen);
+    fields::writeMember(j, "decompose", req.decompose);
     j.field("run_peephole", req.run_peephole);
     j.field("label", req.label);
     j.field("backend", req.backend);
-    j.key("config");
-    engine::writeRunConfig(j, req.config);
+    fields::writeMember(j, "config", req.config);
     j.endObject();
     return os.str();
 }
@@ -498,29 +383,13 @@ decodeCompileRequest(const std::string &json)
     JsonValue doc = parseJson(json);
     fatalIf(!doc.isObject(), "wire request is not a JSON object");
     CompileRequest req;
-    req.app = parseAppKind(text(doc, "app", "SQ"));
-    if (const JsonValue *gen = doc.find("gen")) {
-        fatalIf(!gen->isObject(), "wire 'gen' is not an object");
-        req.gen.problem_size =
-            integer(*gen, "problem_size", req.gen.problem_size);
-        req.gen.max_iterations =
-            integer(*gen, "max_iterations", req.gen.max_iterations);
-    }
-    if (const JsonValue *d = doc.find("decompose")) {
-        fatalIf(!d->isObject(), "wire 'decompose' is not an object");
-        req.decompose.rz_sequence_length =
-            integer(*d, "rz_sequence_length",
-                    req.decompose.rz_sequence_length);
-        req.decompose.rz_t_fraction =
-            num(*d, "rz_t_fraction", req.decompose.rz_t_fraction);
-        req.decompose.expand_swap =
-            flag(*d, "expand_swap", req.decompose.expand_swap);
-    }
-    req.run_peephole = flag(doc, "run_peephole", req.run_peephole);
-    req.label = text(doc, "label");
-    req.backend = text(doc, "backend", req.backend);
-    if (const JsonValue *cfg = doc.find("config"))
-        readRunConfig(*cfg, req.config);
+    req.app = parseAppKind(doc.get<std::string>("app", "SQ", kWire));
+    fields::readMember(doc, "gen", req.gen, kWire);
+    fields::readMember(doc, "decompose", req.decompose, kWire);
+    fields::readMember(doc, "run_peephole", req.run_peephole, kWire);
+    fields::readMember(doc, "label", req.label, kWire);
+    fields::readMember(doc, "backend", req.backend, kWire);
+    fields::readMember(doc, "config", req.config, kWire);
     return req;
 }
 
@@ -539,42 +408,16 @@ encodeSweepGrid(const engine::SweepGrid &grid)
                 "workers only");
         j.beginObject();
         j.field("app", apps::appSpec(a.kind).name);
-        j.field("problem_size", a.gen.problem_size);
-        j.field("max_iterations", a.gen.max_iterations);
+        fields::writeMembers(j, a.gen);
         j.field("label", a.label);
         j.endObject();
     }
     j.endArray();
-    j.key("backends");
-    j.beginArray();
-    for (const std::string &b : grid.backends)
-        j.value(b);
-    j.endArray();
-    auto int_axis = [&](const char *name,
-                        const std::vector<int> &values) {
-        j.key(name);
-        j.beginArray();
-        for (int v : values)
-            j.value(v);
-        j.endArray();
-    };
-    int_axis("policies", grid.policies);
-    int_axis("arbiters", grid.arbiters);
-    int_axis("layout_objectives", grid.layout_objectives);
-    int_axis("distances", grid.distances);
-    int_axis("epr_windows", grid.epr_windows);
-    j.key("sizes");
-    j.beginArray();
-    for (double v : grid.sizes)
-        j.value(v);
-    j.endArray();
-    j.key("defects");
-    j.beginArray();
-    for (double v : grid.defects)
-        j.value(v);
-    j.endArray();
-    j.key("base");
-    engine::writeRunConfig(j, grid.base);
+    fields::writeMember(j, "backends", grid.backends);
+    engine::forEachAxis(grid, [&](const char *name, const auto &axis) {
+        fields::writeMember(j, name, axis);
+    });
+    fields::writeMember(j, "base", grid.base);
     j.endObject();
     return os.str();
 }
@@ -582,69 +425,26 @@ encodeSweepGrid(const engine::SweepGrid &grid)
 engine::SweepGrid
 decodeSweepGrid(const std::string &json)
 {
+    constexpr std::string_view kGrid = "wire grid field";
     JsonValue doc = parseJson(json);
     fatalIf(!doc.isObject(), "wire grid is not a JSON object");
     engine::SweepGrid grid;
-    const JsonValue *apps_v = doc.find("apps");
-    fatalIf(!apps_v || !apps_v->isArray(),
-            "wire grid has no 'apps' array");
-    grid.apps.clear();
-    for (const JsonValue &a : apps_v->items) {
-        fatalIf(!a.isObject(), "wire grid app is not an object");
+    const JsonValue &apps_v = doc.member("apps", kGrid);
+    apps_v.expect(JsonValue::Kind::Array, kGrid, "apps");
+    for (const JsonValue &a : apps_v.items) {
+        a.expect(JsonValue::Kind::Object, kGrid, "apps");
         engine::AppPoint point;
-        point.kind = parseAppKind(text(a, "app", "SQ"));
-        point.gen.problem_size =
-            integer(a, "problem_size", point.gen.problem_size);
-        point.gen.max_iterations =
-            integer(a, "max_iterations", point.gen.max_iterations);
-        point.label = text(a, "label");
+        point.kind = parseAppKind(a.get<std::string>("app", "SQ", kGrid));
+        fields::readMembers(a, point.gen, kGrid);
+        fields::readMember(a, "label", point.label, kGrid);
         grid.apps.push_back(std::move(point));
     }
-    const JsonValue *backends = doc.find("backends");
-    fatalIf(!backends || !backends->isArray(),
-            "wire grid has no 'backends' array");
-    grid.backends.clear();
-    for (const JsonValue &b : backends->items) {
-        fatalIf(!b.isString(), "wire grid backend is not a string");
-        grid.backends.push_back(b.str);
-    }
-    auto int_axis = [&](const char *name, std::vector<int> &out) {
-        const JsonValue *v = doc.find(name);
-        if (!v)
-            return;
-        fatalIf(!v->isArray(), "wire grid '", name,
-                "' is not an array");
-        out.clear();
-        for (const JsonValue &e : v->items)
-            out.push_back(e.toInt("wire grid", name));
-    };
-    int_axis("policies", grid.policies);
-    int_axis("arbiters", grid.arbiters);
-    int_axis("layout_objectives", grid.layout_objectives);
-    int_axis("distances", grid.distances);
-    int_axis("epr_windows", grid.epr_windows);
-    if (const JsonValue *sizes = doc.find("sizes")) {
-        fatalIf(!sizes->isArray(),
-                "wire grid 'sizes' is not an array");
-        grid.sizes.clear();
-        for (const JsonValue &e : sizes->items) {
-            fatalIf(!e.isNumber(),
-                    "wire grid 'sizes' element is not a number");
-            grid.sizes.push_back(e.num);
-        }
-    }
-    if (const JsonValue *defects = doc.find("defects")) {
-        fatalIf(!defects->isArray(),
-                "wire grid 'defects' is not an array");
-        grid.defects.clear();
-        for (const JsonValue &e : defects->items) {
-            fatalIf(!e.isNumber(),
-                    "wire grid 'defects' element is not a number");
-            grid.defects.push_back(e.num);
-        }
-    }
-    if (const JsonValue *base = doc.find("base"))
-        readRunConfig(*base, grid.base);
+    fields::read(doc.member("backends", kGrid), grid.backends, kGrid,
+                 "backends");
+    engine::forEachAxis(grid, [&](const char *name, auto &axis) {
+        fields::readMember(doc, name, axis, kGrid);
+    });
+    fields::readMember(doc, "base", grid.base, kGrid);
     return grid;
 }
 
@@ -684,30 +484,29 @@ decodeCompileResponse(const std::string &json)
     JsonValue doc = parseJson(json);
     fatalIf(!doc.isObject(), "wire response is not a JSON object");
     CompileResponse resp;
-    resp.error = text(doc, "error");
-    resp.prepare_ms = num(doc, "prepare_ms", 0);
-    resp.run_ms = num(doc, "run_ms", 0);
-    resp.batch_size = count(doc, "batch_size", 1);
+    resp.error = doc.get<std::string>("error", "", kWire);
+    resp.prepare_ms = doc.get<double>("prepare_ms", 0, kWire);
+    resp.run_ms = doc.get<double>("run_ms", 0, kWire);
+    resp.batch_size = doc.get<uint64_t>("batch_size", 1, kWire);
     if (const JsonValue *m = doc.find("metrics")) {
-        fatalIf(!m->isObject(), "wire 'metrics' is not an object");
-        resp.metrics.backend = text(*m, "backend");
-        resp.metrics.code = parseCodeKind(
-            text(*m, "code", qec::codeKindName(resp.metrics.code)));
-        resp.metrics.code_distance = integer(*m, "code_distance", 0);
-        resp.metrics.schedule_cycles = count(*m, "schedule_cycles", 0);
-        resp.metrics.critical_path_cycles =
-            count(*m, "critical_path_cycles", 0);
-        resp.metrics.physical_qubits =
-            num(*m, "physical_qubits", 0);
-        resp.metrics.seconds = num(*m, "seconds", 0);
+        m->expect(JsonValue::Kind::Object, kWire, "metrics");
+        engine::Metrics &out = resp.metrics;
+        out.backend = m->get<std::string>("backend", "", kWire);
+        out.code = qec::parseCodeKind(m->get<std::string>(
+            "code", qec::codeKindName(out.code), kWire));
+        out.code_distance = m->get<int>("code_distance", 0, kWire);
+        out.schedule_cycles =
+            m->get<uint64_t>("schedule_cycles", 0, kWire);
+        out.critical_path_cycles =
+            m->get<uint64_t>("critical_path_cycles", 0, kWire);
+        out.physical_qubits =
+            m->get<double>("physical_qubits", 0, kWire);
+        out.seconds = m->get<double>("seconds", 0, kWire);
         if (const JsonValue *extras = m->find("extras")) {
-            fatalIf(!extras->isObject(),
-                    "wire 'extras' is not an object");
-            for (const auto &[name, v] : extras->members) {
-                fatalIf(!v.isNumber(), "wire extra '", name,
-                        "' is not a number");
-                resp.metrics.extras.emplace_back(name, v.num);
-            }
+            extras->expect(JsonValue::Kind::Object, kWire, "extras");
+            for (const auto &[name, v] : extras->members)
+                out.extras.emplace_back(
+                    name, v.as<double>("wire extra", name));
         }
     }
     return resp;
@@ -1158,7 +957,8 @@ Client::Client(int in_fd, int out_fd, bool owns_fds)
             "expected a Hello frame, got ",
             frameTypeName(hello.type));
     JsonValue doc = parseJson(hello.payload);
-    fatalIf(text(doc, "service") != "qsurf-compile",
+    fatalIf(doc.get<std::string>("service", "", kWire)
+                != "qsurf-compile",
             "peer is not a qsurf compile server");
 }
 
@@ -1195,7 +995,8 @@ Client::compile(const CompileRequest &req)
     if (reply.type == FrameType::Error) {
         JsonValue doc = parseJson(reply.payload);
         CompileResponse resp;
-        resp.error = text(doc, "error", "unknown server error");
+        resp.error =
+            doc.get<std::string>("error", "unknown server error", kWire);
         return resp;
     }
     fatalIf(reply.type != FrameType::Response,

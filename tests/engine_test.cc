@@ -189,6 +189,29 @@ TEST(Backend, PrepareRejectsBadPolicy)
         FatalError);
 }
 
+// Factories that distill states into a zero-slot buffer never hold
+// one, so no T gate could ever be placed: the run would spin until
+// max_cycles.
+TEST(Backend, LoopBackendsRejectAFactoryThatHoldsNothing)
+{
+    circuit::Circuit circ = smallCircuit();
+    WorkItem item = itemFor(&circ);
+    item.config.magic_production_cycles = 10;
+    item.config.magic_buffer_capacity = 0;
+    const char *loop_backends[] = {backends::double_defect,
+                                   backends::hybrid_mixed,
+                                   backends::surgery_sim};
+    for (const char *name : loop_backends)
+        EXPECT_THROW(Registry::global().get(name).prepare(item),
+                     FatalError)
+            << name;
+    // Without production the buffer is never read.
+    item.config.magic_production_cycles = 0;
+    for (const char *name : loop_backends)
+        EXPECT_NO_THROW(Registry::global().get(name).prepare(item))
+            << name;
+}
+
 TEST(Backend, ModelPrepareNeedsSizeOrCircuit)
 {
     WorkItem item;

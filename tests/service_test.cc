@@ -816,6 +816,34 @@ TEST(CompileService, ReportsErrorsPerRequestAndStaysUp)
     EXPECT_TRUE(svc.compile(good).ok());
 }
 
+TEST(CompileService, FactoryThatHoldsNothingIsAnErrorResponse)
+{
+    service::PrepareCache cache;
+    service::CompileService::Options opts;
+    opts.num_threads = 1;
+    opts.cache = &cache;
+    service::CompileService svc(opts);
+
+    for (const char *backend :
+         {engine::backends::double_defect, engine::backends::hybrid_mixed,
+          engine::backends::surgery_sim}) {
+        service::CompileRequest r;
+        r.app = apps::AppKind::SQ;
+        r.gen = {8, 2};
+        r.backend = backend;
+        r.config.code_distance = 5;
+        r.config.magic_production_cycles = 10;
+        r.config.magic_buffer_capacity = 0;
+        service::CompileResponse resp = svc.compile(r);
+        EXPECT_FALSE(resp.ok()) << backend;
+        EXPECT_NE(resp.error.find("magic_buffer_capacity"),
+                  std::string::npos)
+            << resp.error;
+        // Rejected in prepare(): the scheduler never ran.
+        EXPECT_EQ(resp.run_ms, 0) << backend;
+    }
+}
+
 TEST(CompileService, NonIntegerDefectSpecIsAnErrorResponse)
 {
     service::PrepareCache cache;

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -16,12 +17,15 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/fields.h"
 #include "common/json.h"
 #include "common/logging.h"
 #include "engine/registry.h"
@@ -808,6 +812,235 @@ TEST(WireCodec, EncodedBytesArePinned)
     one.apps = {{apps::AppKind::SQ}};
     one.backends = {engine::backends::double_defect};
     EXPECT_EQ(engine::sweepGridFingerprint(one), 0x32359a79a10a84e4ull);
+}
+
+// ------------------------------------------------- field-list walks
+//
+// The tests below enumerate fields through the lists themselves, so a
+// field added to a list is covered without editing them.
+
+/** Calls @p f(path, field) for every scalar field under the listed
+ *  struct @p s. */
+template <typename S, typename F>
+void
+forEachLeaf(S &s, const std::string &prefix, F &&f)
+{
+    forEachField(s, [&](const char *name, auto &v) {
+        if constexpr (fields::Listed<std::remove_reference_t<decltype(v)>>)
+            forEachLeaf(v, prefix + name + ".", f);
+        else
+            f(prefix + name, v);
+    });
+}
+
+/** (path, exact value) of every scalar field. */
+using Leaves = std::vector<std::pair<std::string, std::string>>;
+
+template <typename T>
+std::string
+exactText(const T &v)
+{
+    if constexpr (std::is_same_v<T, std::string>)
+        return v;
+    else if constexpr (std::is_same_v<T, double>)
+        return std::to_string(std::bit_cast<uint64_t>(v));
+    else
+        return std::to_string(v);
+}
+
+/** Moves @p v off its value: ints and doubles by an offset, seeds and
+ *  counts to an odd value past 2^53 (which no double holds), bools
+ *  negated, strings extended. */
+template <typename T>
+void
+perturb(T &v)
+{
+    if constexpr (std::is_same_v<T, bool>)
+        v = !v;
+    else if constexpr (std::is_same_v<T, std::string>)
+        v += "x";
+    else if constexpr (std::is_same_v<T, uint64_t>)
+        v = v * 2 + (uint64_t{1} << 53) + 1;
+    else if constexpr (std::is_same_v<T, double>)
+        v = v * 2 + 0.5;
+    else
+        v += 3;
+}
+
+/** JSON literals of the wrong kind, or out of range, for a field of
+ *  type T. */
+template <typename T>
+std::vector<std::string>
+wrongValues()
+{
+    if constexpr (std::is_same_v<T, bool>)
+        return {"1", "\"true\""};
+    else if constexpr (std::is_same_v<T, std::string>)
+        return {"1", "true"};
+    else if constexpr (std::is_same_v<T, uint64_t>)
+        return {"\"1\"", "-1", "1.5"};
+    else if constexpr (std::is_same_v<T, double>)
+        return {"\"1\"", "true"};
+    else
+        return {"\"1\"", "1.5", "2147483648"};
+}
+
+/** The listed parts of a request, under their wire keys. */
+template <typename Request, typename Visit>
+void
+requestParts(Request &req, Visit &&visit)
+{
+    visit("gen", req.gen);
+    visit("decompose", req.decompose);
+    visit("config", req.config);
+}
+
+Leaves
+leavesOf(const service::CompileRequest &req)
+{
+    Leaves out;
+    requestParts(req, [&](const char *part, const auto &s) {
+        forEachLeaf(s, std::string(part) + ".",
+                    [&](const std::string &path, const auto &v) {
+                        out.emplace_back(path, exactText(v));
+                    });
+    });
+    return out;
+}
+
+template <typename S>
+Leaves
+leavesOf(const S &s)
+{
+    Leaves out;
+    forEachLeaf(s, "", [&](const std::string &path, const auto &v) {
+        out.emplace_back(path, exactText(v));
+    });
+    return out;
+}
+
+/** @return {"a": {"b": <value>}} for @p path "a.b". */
+std::string
+nestedJson(const std::string &path, const std::string &value)
+{
+    std::string json = value;
+    size_t end = path.size();
+    while (end != std::string::npos && end > 0) {
+        size_t dot = path.rfind('.', end - 1);
+        size_t start = dot == std::string::npos ? 0 : dot + 1;
+        json = "{\"" + path.substr(start, end - start) + "\": " + json
+            + "}";
+        end = dot;
+    }
+    return json;
+}
+
+TEST(FieldLists, EveryFieldCrossesTheWireAndKeysTheRun)
+{
+    service::CompileRequest base;
+    base.gen = {8, 2};
+    base.backend = engine::backends::double_defect;
+    engine::SweepGrid grid;
+    grid.apps = {{apps::AppKind::SQ, base.gen}};
+    grid.backends = {engine::backends::double_defect};
+
+    const Leaves base_leaves = leavesOf(base);
+    const std::string base_key = service::resultKey(base);
+    const uint64_t base_fp = engine::sweepGridFingerprint(grid);
+
+    for (size_t k = 0; k < base_leaves.size(); ++k) {
+        const std::string &path = base_leaves[k].first;
+        service::CompileRequest req = base;
+        size_t left = k;
+        requestParts(req, [&](const char *, auto &s) {
+            forEachLeaf(s, "", [&](const std::string &, auto &v) {
+                if (left-- == 0)
+                    perturb(v);
+            });
+        });
+        const Leaves want = leavesOf(req);
+        ASSERT_NE(want[k].second, base_leaves[k].second) << path;
+
+        service::CompileRequest back =
+            wire::decodeCompileRequest(wire::encodeCompileRequest(req));
+        EXPECT_EQ(leavesOf(back), want) << path;
+        EXPECT_NE(service::resultKey(req), base_key) << path;
+
+        // A grid carries the config as its base and the generator
+        // knobs on each app; the decompose knobs stay in-process.
+        engine::SweepGrid g = grid;
+        g.apps[0].gen = req.gen;
+        g.base = req.config;
+        engine::SweepGrid g_back =
+            wire::decodeSweepGrid(wire::encodeSweepGrid(g));
+        EXPECT_EQ(leavesOf(g_back.apps[0].gen), leavesOf(g.apps[0].gen))
+            << path;
+        EXPECT_EQ(leavesOf(g_back.base), leavesOf(g.base)) << path;
+        if (path.rfind("decompose.", 0) != 0) {
+            EXPECT_NE(engine::sweepGridFingerprint(g), base_fp) << path;
+        }
+    }
+
+    // Each axis: one more value crosses the wire and moves the
+    // fingerprint.
+    engine::forEachAxis(grid, [&](const char *name, const auto &axis) {
+        engine::SweepGrid g = grid;
+        engine::forEachAxis(g, [&](const char *n, auto &a) {
+            if (std::string(n) == name)
+                a.push_back(a.front() + 1);
+        });
+        engine::SweepGrid back =
+            wire::decodeSweepGrid(wire::encodeSweepGrid(g));
+        engine::forEachAxis(back, [&](const char *n, const auto &a) {
+            if (std::string(n) == name) {
+                ASSERT_EQ(a.size(), axis.size() + 1) << name;
+                EXPECT_EQ(a.back(), axis.front() + 1) << name;
+            }
+        });
+        EXPECT_NE(engine::sweepGridFingerprint(g), base_fp) << name;
+    });
+}
+
+TEST(FieldLists, WrongKindsAndOutOfRangeValuesAreErrors)
+{
+    std::vector<std::pair<std::string, std::vector<std::string>>> wrong;
+    service::CompileRequest req;
+    requestParts(req, [&](const char *part, const auto &s) {
+        forEachLeaf(s, std::string(part) + ".",
+                    [&](const std::string &path, const auto &v) {
+                        wrong.emplace_back(
+                            path, wrongValues<std::decay_t<decltype(v)>>());
+                    });
+    });
+    for (const auto &[path, values] : wrong) {
+        for (const std::string &v : values) {
+            EXPECT_THROW(
+                wire::decodeCompileRequest(nestedJson(path, v)),
+                FatalError)
+                << path << " = " << v;
+            if (path.rfind("config.", 0) == 0) {
+                EXPECT_THROW(
+                    wire::decodeSweepGrid(
+                        R"({"apps": [], "backends": [], "base": )"
+                        + nestedJson(path.substr(7), v) + "}"),
+                    FatalError)
+                    << path << " = " << v;
+            }
+        }
+    }
+    engine::SweepGrid grid;
+    engine::forEachAxis(grid, [&](const char *name, const auto &axis) {
+        using E = typename std::decay_t<decltype(axis)>::value_type;
+        std::vector<std::string> values = {"1"}; // Not an array.
+        for (const std::string &v : wrongValues<E>())
+            values.push_back("[" + v + "]");
+        for (const std::string &v : values)
+            EXPECT_THROW(wire::decodeSweepGrid(
+                             R"({"apps": [], "backends": [], ")"
+                             + std::string(name) + "\": " + v + "}"),
+                         FatalError)
+                << name << " = " << v;
+    });
 }
 
 } // namespace
